@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import IO, Optional
 
+import numpy as np
+
 from .errors import DataError, DomainError
 from .estimate import GridSpec, fit_m_hat
 from .ingest import PriceSeries, to_displacements, window
@@ -92,16 +94,14 @@ def run_backtest(series: PriceSeries, config: BacktestConfig,
                  grid_spec: Optional[GridSpec] = None) -> BacktestReport:
     """Fit on the configured window and test the configured crash week."""
     displacements = to_displacements(series)
-    crash_index = None
-    for i, entry in enumerate(displacements.entries):
-        if entry.week_end == config.crash_week_end:
-            crash_index = i
-            break
-    if crash_index is None:
+    hits = np.flatnonzero(
+        displacements.week_end == np.datetime64(config.crash_week_end, "D"))
+    if not hits.size:
         raise DataError(
             f"no week ending {config.crash_week_end} in series "
             f"{series.asset_id!r}"
         )
+    crash_index = int(hits[0])
     train_end = config.train_start_index + config.train_count
     if crash_index < train_end:
         raise DataError(
@@ -112,13 +112,15 @@ def run_backtest(series: PriceSeries, config: BacktestConfig,
                    config.train_count)
     fit = fit_m_hat(train, t=config.t, grid_spec=grid_spec)
 
-    crash = displacements.entries[crash_index]
-    prior_close = crash.x_a
+    prior_close, close, crash_ratio = (
+        float(c[crash_index]) for c in (displacements.x_a, displacements.x_b,
+                                        displacements.ratio))
     ratio = extreme_displacement(OscillatorParams(m=fit.m_hat, t=config.t))
     predicted_points = ratio * prior_close
-    actual_points = abs(crash.x_b - crash.x_a)
-    actual_ratio = abs(crash.ratio)
-    elapsed_days = (crash.week_end - train.entries[-1].week_end).days
+    actual_points = abs(close - prior_close)
+    actual_ratio = abs(crash_ratio)
+    elapsed = displacements.week_end[crash_index] - train.week_end[-1]
+    elapsed_days = elapsed.item().days
     return BacktestReport(
         asset_id=series.asset_id,
         m_hat=fit.m_hat,

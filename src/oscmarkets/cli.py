@@ -28,10 +28,13 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import backtest as bt
 from . import estimate as est
 from .errors import DataError, DomainError, OscMarketsError
 from .ingest import (
+    _as_text,
     parse_displacements,
     parse_prices,
     to_displacements,
@@ -69,13 +72,24 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _seed_value(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+def _seed_value(text: str) -> int:
+    value = _integer(text)
     if not 0 <= value < 2 ** 64:
         raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
+    return value
+
+
+def _count_value(text: str) -> int:
+    value = _integer(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -129,8 +143,9 @@ def _load_config_file() -> dict:
     if not path:
         return {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            text = _as_text(fh)
+    except (OSError, DataError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -158,9 +173,10 @@ def _layer(cli_value, file_cfg: dict, key: str, kind, default):
 
 def _read_input(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        return _as_text(sys.stdin)
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return _as_text(fh)
     except OSError as exc:
         raise DataError(f"cannot read input {path}: {exc}") from None
 
@@ -197,14 +213,15 @@ def _structured(config_pairs, payload_key, payload) -> str:
                       indent=2) + "\n"
 
 
-def _point_records(series):
-    return [{"date": p.week_end.isoformat(), "close": p.close}
-            for p in series.points]
+def _records(**columns):
+    """JSON rows of named columns: ISO dates and Python floats."""
+    lists = [np.datetime_as_string(c, unit="D").tolist() if c.dtype.kind == "M"
+             else c.tolist() for c in columns.values()]
+    return [dict(zip(columns, row)) for row in zip(*lists)]
 
 
-def _entry_records(series):
-    return [{"week_end": e.week_end.isoformat(), "x_a": e.x_a, "x_b": e.x_b,
-             "ratio": e.ratio} for e in series.entries]
+def _entry_records(d):
+    return _records(week_end=d.week_end, x_a=d.x_a, x_b=d.x_b, ratio=d.ratio)
 
 
 def _cmd_ingest(ns, file_cfg) -> str:
@@ -217,7 +234,8 @@ def _cmd_ingest(ns, file_cfg) -> str:
     if ns.format == "structured":
         if ns.emit == "prices":
             payload = {"asset_id": series.asset_id, "unit": series.unit,
-                       "points": _point_records(series)}
+                       "points": _records(date=series.week_end,
+                                          close=series.close)}
         else:
             d = to_displacements(series)
             payload = {"asset_id": d.asset_id,
@@ -231,13 +249,14 @@ def _cmd_ingest(ns, file_cfg) -> str:
             write_displacements(to_displacements(series), buf)
         return _echo_line(pairs) + "\n" + buf.getvalue()
     d = to_displacements(series)
+    first, last = np.datetime_as_string(series.week_end[[0, -1]], unit="D")
     lines = [
         _echo_line(pairs),
         f"asset: {series.asset_id}",
         f"unit: {series.unit}",
-        f"points: {len(series.points)}",
-        f"first_week: {series.points[0].week_end.isoformat()}",
-        f"last_week: {series.points[-1].week_end.isoformat()}",
+        f"points: {len(series)}",
+        f"first_week: {first}",
+        f"last_week: {last}",
         f"displacements: {len(d)}",
     ]
     return "\n".join(lines) + "\n"
@@ -365,11 +384,7 @@ def _cmd_backtest(ns, file_cfg) -> str:
         start, count = ns.window
     else:
         start = 0
-        count = _layer(None, file_cfg, "train_count",
-                       lambda s: int(s), 100)
-        if count < 1:
-            raise UsageError(f"config key train_count must be >= 1, "
-                             f"got {count}")
+        count = _layer(None, file_cfg, "train_count", _count_value, 100)
     fmt = "daily_csv" if ns.resample == "daily-to-weekly" else "weekly_csv"
     asset = ns.asset or _asset_label(ns.input)
     series = parse_prices(_read_input(ns.input), fmt=fmt, asset_id=asset)

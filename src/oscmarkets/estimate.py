@@ -88,8 +88,9 @@ class ThresholdRow:
             raise DomainError(f"threshold must be >= 0, got {self.x}")
         if not 0.0 <= self.rho <= 1.0:
             raise DomainError(f"rho must lie in [0, 1], got {self.rho}")
-        if not 0.0 < self.pr <= 1.0:
-            raise DomainError(f"pr must lie in (0, 1], got {self.pr}")
+        # pr = erfc(z)^2 underflows to 0.0 for z beyond about 19.5
+        if not 0.0 <= self.pr <= 1.0:
+            raise DomainError(f"pr must lie in [0, 1], got {self.pr}")
 
 
 @dataclass(frozen=True)
@@ -117,9 +118,8 @@ def relative_frequency(sample: DisplacementSeries, x_min: float) -> float:
     """Fraction of sample weeks with |x| >= x_min (mean of 0/1 coding)."""
     if x_min < 0.0 or not math.isfinite(x_min):
         raise DomainError(f"threshold must be finite and >= 0, got {x_min}")
-    n = len(sample.entries)
-    hits = sum(1 for e in sample.entries if abs(e.ratio) >= x_min)
-    return hits / n
+    hits = np.count_nonzero(np.abs(sample.ratio) >= x_min)
+    return hits / len(sample)
 
 
 def m_week(rho: float, x_w: float, t: float = 1.0) -> float:
@@ -223,11 +223,10 @@ def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
         raise DataError(f"unknown r_squared method {method!r}")
     if grid_spec is None:
         grid_spec = GridSpec()
-    ratios = np.asarray(sample.ratios(), dtype=np.float64)
-    n = ratios.size
+    n = len(sample)
     if n < 10:
         raise DataError(f"need at least 10 sample weeks, got {n}")
-    abs_x = np.abs(ratios)
+    abs_x = np.abs(sample.ratio)
     thresholds = np.unique(abs_x[abs_x > 0.0])
     if thresholds.size < 3:
         raise DataError(

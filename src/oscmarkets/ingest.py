@@ -1,12 +1,20 @@
 """Price data ingestion: CSV parsing, weekly resampling, displacement series.
 
-Input is UTF-8 CSV with a `date,close` header (extra columns ignored).
-Daily data is resampled to weekly bars by keeping the last available close
-of each ISO-8601 week (Mon-Sun); weekly input passes through unchanged.
-Gaps are never filled: a displacement simply spans the gap, since markets
-pick up where they left off.
+Input is UTF-8 CSV (a leading byte-order mark is ignored) with a
+`date,close` header (extra columns ignored). Daily data is resampled to
+weekly bars by keeping the last available close of each ISO-8601 week
+(Mon-Sun); weekly input passes through unchanged. Gaps are never filled:
+a displacement simply spans the gap, since markets pick up where they
+left off.
 
-Displacement series are serializable to CSV with header
+A series is a set of numpy columns: `week_end` as datetime64[D] and the
+prices and ratios as float64. Each constructor validates its columns once,
+vectorized, then marks them read-only, so a series that exists is valid.
+Parsers read rows one at a time but hand whole columns to the
+constructor; a column check that fails names the input line of the first
+bad row.
+
+Series are serializable to CSV with headers `date,close` and
 `week_end,x_a,x_b,ratio`; floats are written with repr so a round trip
 through text is exact.
 """
@@ -17,16 +25,15 @@ import csv
 import datetime as dt
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Union
 
+import numpy as np
+
 from .errors import DataError
-from .model import Displacement, displacement_ratio
 
 __all__ = [
-    "PricePoint",
     "PriceSeries",
-    "DisplacementEntry",
     "DisplacementSeries",
     "parse_prices",
     "parse_displacements",
@@ -40,69 +47,79 @@ WEEK_UNIT = "1 trading week"
 
 TextSource = Union[str, bytes, IO]
 
-
-@dataclass(frozen=True)
-class PricePoint:
-    week_end: dt.date
-    close: float
-
-    def __post_init__(self):
-        if not isinstance(self.week_end, dt.date):
-            raise DataError(f"week_end must be a date, got {self.week_end!r}")
-        close = float(self.close)
-        if not close > 0.0:
-            raise DataError(f"close must be > 0, got {close}")
-        object.__setattr__(self, "close", close)
+_DAY = "datetime64[D]"
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
-@dataclass(frozen=True)
+class _RowError(DataError):
+    """A column check failed at row index `row` of the series."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _check(bad: np.ndarray, template: str, *columns: np.ndarray) -> None:
+    """Raise _RowError at the first True row of `bad`, formatting
+    `template` with that row's values from `columns`."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _RowError(i, template.format(*(c[i].item() for c in columns)))
+
+
+def _freeze(series, **dtypes) -> list[np.ndarray]:
+    """Replace each named field by a read-only 1-D copy of that dtype."""
+    out = []
+    for name, dtype in dtypes.items():
+        try:
+            column = np.array(getattr(series, name), dtype=dtype)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"column {name}: {exc}") from None
+        if column.ndim != 1 or (out and column.size != out[0].size):
+            raise DataError("series columns must be 1-D and of equal length")
+        column.flags.writeable = False
+        object.__setattr__(series, name, column)
+        out.append(column)
+    return out
+
+
+def _check_dates(week_end: np.ndarray) -> None:
+    _check(np.isnat(week_end), "missing date")
+    bad = np.flatnonzero(~(week_end[1:] > week_end[:-1]))
+    if bad.size:
+        i = int(bad[0]) + 1
+        cur, prev = week_end[i].item(), week_end[i - 1].item()
+        raise _RowError(i, f"duplicate date {cur}" if cur == prev
+                        else f"date {cur} not after {prev}")
+
+
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """Ordered weekly closes for one asset."""
+    """Weekly closes for one asset: strictly increasing dates, positive
+    finite closes, at least two rows."""
 
     asset_id: str
-    points: tuple[PricePoint, ...]
+    week_end: np.ndarray
+    close: np.ndarray
     unit: str = WEEK_UNIT
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if len(self.points) < 2:
+        week_end, close = _freeze(self, week_end=_DAY, close=np.float64)
+        if close.size < 2:
             raise DataError(
-                f"price series needs at least 2 points, got {len(self.points)}"
-            )
-        for prev, cur in zip(self.points, self.points[1:]):
-            if cur.week_end <= prev.week_end:
-                raise DataError(
-                    f"dates must be strictly increasing: {prev.week_end} "
-                    f"followed by {cur.week_end}"
-                )
+                f"price series needs at least 2 points, got {close.size}")
+        _check(~np.isfinite(close), "non-finite close {!r}", close)
+        _check(close <= 0.0, "non-positive close {}", close)
+        _check_dates(week_end)
 
-    def closes(self) -> list[float]:
-        return [p.close for p in self.points]
+    def __len__(self) -> int:
+        return self.close.size
 
 
-@dataclass(frozen=True)
-class DisplacementEntry:
-    """A weekly displacement tagged with the week's end date."""
-
-    week_end: dt.date
-    value: Displacement
-
-    @property
-    def x_a(self) -> float:
-        return self.value.x_a
-
-    @property
-    def x_b(self) -> float:
-        return self.value.x_b
-
-    @property
-    def ratio(self) -> float:
-        return self.value.ratio
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisplacementSeries:
-    """Dated weekly displacements.
+    """Dated weekly displacements: opening price x_a, closing price x_b
+    and ratio = x_b/x_a - 1 per week.
 
     Price-derived series (to_displacements) additionally chain, each week
     opening at the prior week's close; synthetic series fabricate their
@@ -110,35 +127,47 @@ class DisplacementSeries:
     """
 
     asset_id: str
-    entries: tuple[DisplacementEntry, ...] = field(default_factory=tuple)
+    week_end: np.ndarray
+    x_a: np.ndarray
+    x_b: np.ndarray
+    ratio: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if not self.entries:
+        week_end, x_a, x_b, ratio = _freeze(
+            self, week_end=_DAY, x_a=np.float64, x_b=np.float64,
+            ratio=np.float64)
+        if not ratio.size:
             raise DataError("displacement series must not be empty")
-        for prev, cur in zip(self.entries, self.entries[1:]):
-            if cur.week_end <= prev.week_end:
-                raise DataError(
-                    f"dates must be strictly increasing: {prev.week_end} "
-                    f"followed by {cur.week_end}"
-                )
+        for name, column in (("x_a", x_a), ("x_b", x_b), ("ratio", ratio)):
+            _check(~np.isfinite(column), name + " must be finite, got {!r}",
+                   column)
+        _check((x_a <= 0.0) | (x_b <= 0.0),
+               "prices must be positive, got x_a={}, x_b={}", x_a, x_b)
+        _check(ratio <= -1.0, "ratio must exceed -1, got {}", ratio)
+        implied = x_b / x_a - 1.0
+        tolerance = 1e-12 * np.maximum(1.0, np.abs(implied))
+        _check(np.abs(ratio - implied) > tolerance,
+               "ratio {} inconsistent with endpoints ({}, {}) implying {}",
+               ratio, x_a, x_b, implied)
+        _check_dates(week_end)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.ratio.size
 
-    def ratios(self) -> list[float]:
-        return [e.ratio for e in self.entries]
+    def ratios(self) -> np.ndarray:
+        return self.ratio
 
 
 def _as_text(source: TextSource) -> str:
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        try:
+    """The one decoding step for every input: UTF-8, BOM dropped."""
+    try:
+        if hasattr(source, "read"):
+            source = source.read()
+        if isinstance(source, bytes):
             source = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"input is not valid UTF-8: {exc}") from None
-    return source
+    except UnicodeDecodeError as exc:
+        raise DataError(f"input is not valid UTF-8: {exc}") from None
+    return source.removeprefix("\ufeff")
 
 
 def _skip(row) -> bool:
@@ -179,9 +208,10 @@ def _read_rows(text: str, required: tuple[str, ...]):
         raise DataError("no rows: header present but no data")
 
 
-def _parse_date(lineno: int, text: str) -> dt.date:
+def _parse_day(lineno: int, text: str) -> int:
+    """Days since 1970-01-01 of an ISO date."""
     try:
-        return dt.date.fromisoformat(text)
+        return dt.date.fromisoformat(text).toordinal() - _EPOCH_ORDINAL
     except ValueError:
         raise DataError(f"line {lineno}: bad date {text!r}") from None
 
@@ -196,18 +226,20 @@ def _parse_float(lineno: int, name: str, text: str) -> float:
     return value
 
 
-def _resample_weekly(rows: list[tuple[int, dt.date, float]]):
-    """Keep the last close of each ISO week; dates stay as observed."""
-    out: list[tuple[int, dt.date, float]] = []
-    last_key = None
-    for lineno, day, close in rows:
-        key = day.isocalendar()[:2]
-        if key == last_key:
-            out[-1] = (lineno, day, close)
-        else:
-            out.append((lineno, day, close))
-            last_key = key
-    return out
+def _parse(source: TextSource, cls, asset_id: str, names: tuple[str, ...]):
+    """Build a `cls` series from CSV columns `names` (a date, then floats),
+    naming the input line of a row that fails the column checks."""
+    lines, days = [], []
+    floats = [[] for _ in names[1:]]
+    for lineno, cells in _read_rows(_as_text(source), names):
+        lines.append(lineno)
+        days.append(_parse_day(lineno, cells[names[0]]))
+        for name, column in zip(names[1:], floats):
+            column.append(_parse_float(lineno, name, cells[name]))
+    try:
+        return cls(asset_id, np.array(days, dtype=_DAY), *floats)
+    except _RowError as exc:
+        raise DataError(f"line {lines[exc.row]}: {exc}") from None
 
 
 def parse_prices(source: TextSource, fmt: str = "weekly_csv",
@@ -220,82 +252,58 @@ def parse_prices(source: TextSource, fmt: str = "weekly_csv",
     """
     if fmt not in ("weekly_csv", "daily_csv"):
         raise DataError(f"unknown price format {fmt!r}")
-    rows: list[tuple[int, dt.date, float]] = []
-    seen: set[dt.date] = set()
-    for lineno, cells in _read_rows(_as_text(source), ("date", "close")):
-        day = _parse_date(lineno, cells["date"])
-        close = _parse_float(lineno, "close", cells["close"])
-        if close <= 0.0:
-            raise DataError(f"line {lineno}: non-positive close {close}")
-        if day in seen:
-            raise DataError(f"line {lineno}: duplicate date {day}")
-        if rows and day <= rows[-1][1]:
-            raise DataError(
-                f"line {lineno}: date {day} not after {rows[-1][1]}"
-            )
-        seen.add(day)
-        rows.append((lineno, day, close))
+    series = _parse(source, PriceSeries, asset_id, ("date", "close"))
     if fmt == "daily_csv":
-        rows = _resample_weekly(rows)
-    points = tuple(PricePoint(week_end=d, close=c) for _, d, c in rows)
-    return PriceSeries(asset_id=asset_id, points=points)
+        # 1970-01-01 is a Thursday, so (days + 3) // 7 numbers the
+        # Monday-to-Sunday weeks; with increasing dates these are ISO weeks
+        week = (series.week_end.astype(np.int64) + 3) // 7
+        keep = np.append(week[1:] != week[:-1], True)
+        series = PriceSeries(asset_id, series.week_end[keep],
+                             series.close[keep])
+    return series
 
 
 def to_displacements(series: PriceSeries) -> DisplacementSeries:
     """Weekly displacements x = close[i+1]/close[i] - 1, dated by the
     later week; each week opens at the prior week's close."""
-    entries = []
-    for prev, cur in zip(series.points, series.points[1:]):
-        entries.append(DisplacementEntry(
-            week_end=cur.week_end,
-            value=displacement_ratio(prev.close, cur.close),
-        ))
-    return DisplacementSeries(asset_id=series.asset_id, entries=tuple(entries))
+    x_a, x_b = series.close[:-1], series.close[1:]
+    return DisplacementSeries(series.asset_id, series.week_end[1:], x_a, x_b,
+                              x_b / x_a - 1.0)
 
 
 def window(series: DisplacementSeries, start_index: int,
            count: int) -> DisplacementSeries:
     """Contiguous sub-series of `count` entries starting at start_index."""
-    n = len(series.entries)
+    n = len(series)
     if start_index < 0 or count < 1 or start_index + count > n:
         raise DataError(
             f"window [{start_index}, {start_index + count}) out of range "
             f"for series of {n} entries"
         )
-    return DisplacementSeries(
-        asset_id=series.asset_id,
-        entries=series.entries[start_index:start_index + count],
-    )
+    rows = slice(start_index, start_index + count)
+    return DisplacementSeries(series.asset_id, series.week_end[rows],
+                              series.x_a[rows], series.x_b[rows],
+                              series.ratio[rows])
 
 
 def parse_displacements(source: TextSource,
                         asset_id: str = "asset") -> DisplacementSeries:
     """Parse `week_end,x_a,x_b,ratio` CSV into a DisplacementSeries."""
-    entries = []
-    cols = ("week_end", "x_a", "x_b", "ratio")
-    for lineno, cells in _read_rows(_as_text(source), cols):
-        day = _parse_date(lineno, cells["week_end"])
-        x_a = _parse_float(lineno, "x_a", cells["x_a"])
-        x_b = _parse_float(lineno, "x_b", cells["x_b"])
-        ratio = _parse_float(lineno, "ratio", cells["ratio"])
-        try:
-            value = Displacement(x_a=x_a, x_b=x_b, ratio=ratio)
-        except Exception as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
-        entries.append(DisplacementEntry(week_end=day, value=value))
-    return DisplacementSeries(asset_id=asset_id, entries=tuple(entries))
+    return _parse(source, DisplacementSeries, asset_id,
+                  ("week_end", "x_a", "x_b", "ratio"))
+
+
+def _write(fh: IO[str], header, week_end: np.ndarray, *floats) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(np.datetime_as_string(week_end, unit="D").tolist(),
+                         *(map(repr, c.tolist()) for c in floats)))
 
 
 def write_prices(series: PriceSeries, fh: IO[str]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["date", "close"])
-    for p in series.points:
-        writer.writerow([p.week_end.isoformat(), repr(p.close)])
+    _write(fh, ["date", "close"], series.week_end, series.close)
 
 
 def write_displacements(series: DisplacementSeries, fh: IO[str]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["week_end", "x_a", "x_b", "ratio"])
-    for e in series.entries:
-        writer.writerow([e.week_end.isoformat(), repr(e.x_a), repr(e.x_b),
-                         repr(e.ratio)])
+    _write(fh, ["week_end", "x_a", "x_b", "ratio"], series.week_end,
+           series.x_a, series.x_b, series.ratio)

@@ -1,32 +1,20 @@
 """Closed-form oscillator model of weekly price displacements.
 
-A week's price move is treated as half an oscillation of a harmonic
-oscillator with inertial coefficient m and derived stiffness k:
-
-    m d2x/dt2 = -k x,   x = x_B/x_A - 1,   x = R sin(phi)
-
-where R is the extreme (amplitude) displacement ratio and phi the phase
-accumulated over the week.  The wave pair
-
-    psi  = R (sin phi + i cos phi),   psi* = R (sin phi - i cos phi)
-
-brackets the real displacement: x = (psi + psi*)/2.  Everything downstream
-is a function of m and the elapsed time t (trading weeks, default 1):
+A week's price move x = x_B/x_A - 1 is treated as half an oscillation of a
+harmonic oscillator with inertial coefficient m, where R is the extreme
+(amplitude) displacement ratio and phi the phase accumulated over the
+week, x = R sin(phi). Everything downstream is a function of m and the
+elapsed time t (trading weeks, default 1):
 
     action          S   = m x^2 / (2 t)          = (2 pi sin phi)^2
-    energies        V = K = W = m x^2 / (2 t^2),  L = -V
-    frequencies     omega = phi / t,  nu = phi / (2 pi t)
-    normalization   Q_psi = 1/sqrt(pi),  Q_x = sqrt(m / (2 pi t))
     tail law        Pr(|x| >= X) = erfc(X sqrt(m / (2 t)))^2
     extreme         R = pi sqrt(8 t / m)
 
 The tail law is the empirically testable output; the estimator in
-`oscmarkets.estimate` inverts it week by week.  The stiffness k is never
-stored on the parameter type because no numeric result depends on it
-independently of m and t.
+`oscmarkets.estimate` inverts it week by week.
 
 All functions are pure and operate on scalars; the estimator keeps its own
-vectorized path.  Angles are radians throughout.
+vectorized path. Angles are radians throughout.
 """
 
 from __future__ import annotations
@@ -39,30 +27,13 @@ from .specfun import erfc
 
 __all__ = [
     "OscillatorParams",
-    "Displacement",
-    "PhaseState",
-    "EnergyTerms",
-    "displacement_ratio",
-    "phase_from_ratio",
-    "psi_pair",
-    "stiffness",
     "action",
-    "action_first_order",
     "action_from_phase",
-    "energies",
-    "frequencies",
-    "normalization_constants",
-    "prob_psi",
-    "prob_x",
     "prob_at_least",
     "extreme_displacement",
 ]
 
-_SQRT_PI = math.sqrt(math.pi)
 _TWO_PI = 2.0 * math.pi
-
-# slack allowed when |x| exceeds R by floating-point noise only
-_CLAMP_TOL = 1e-9
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -90,145 +61,10 @@ class OscillatorParams:
         object.__setattr__(self, "t", t)
 
 
-@dataclass(frozen=True)
-class Displacement:
-    """Opening price x_a, closing price x_b, and ratio x = x_b/x_a - 1."""
-
-    x_a: float
-    x_b: float
-    ratio: float
-
-    def __post_init__(self):
-        x_a = _require_finite("x_a", self.x_a)
-        x_b = _require_finite("x_b", self.x_b)
-        ratio = _require_finite("ratio", self.ratio)
-        if x_a <= 0.0 or x_b <= 0.0:
-            raise DomainError(
-                f"prices must be positive, got x_a={x_a}, x_b={x_b}"
-            )
-        if ratio <= -1.0:
-            raise DomainError(f"ratio must exceed -1, got {ratio}")
-        implied = x_b / x_a - 1.0
-        if abs(ratio - implied) > 1e-12 * max(1.0, abs(implied)):
-            raise DomainError(
-                f"ratio {ratio} inconsistent with endpoints "
-                f"({x_a}, {x_b}) implying {implied}"
-            )
-        object.__setattr__(self, "x_a", x_a)
-        object.__setattr__(self, "x_b", x_b)
-        object.__setattr__(self, "ratio", ratio)
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """One branch of the wave pair: psi = R sin(phi) + i (+-) R cos(phi).
-
-    The conjugate branch psi* carries the mirrored imaginary part, so the
-    consistency check constrains |psi_im| rather than its sign.
-    """
-
-    phi: float
-    amplitude: float
-    psi_re: float
-    psi_im: float
-
-    def __post_init__(self):
-        phi = _require_finite("phi", self.phi)
-        amplitude = _require_finite("amplitude", self.amplitude)
-        if amplitude <= 0.0:
-            raise DomainError(f"amplitude must be > 0, got {amplitude}")
-        if abs(phi) > math.pi / 2.0 + 1e-12:
-            raise DomainError(f"phase {phi} outside [-pi/2, pi/2]")
-        scale = max(1.0, amplitude)
-        if abs(self.psi_re - amplitude * math.sin(phi)) > 1e-12 * scale:
-            raise DomainError("psi_re inconsistent with amplitude*sin(phi)")
-        if abs(abs(self.psi_im) - amplitude * math.cos(phi)) > 1e-12 * scale:
-            raise DomainError("|psi_im| inconsistent with amplitude*cos(phi)")
-        modulus = math.hypot(self.psi_re, self.psi_im)
-        if abs(modulus - amplitude) > 1e-12 * scale:
-            raise DomainError("modulus of psi differs from amplitude")
-
-
-@dataclass(frozen=True)
-class EnergyTerms:
-    """Slice-average potential, kinetic, work, and Lagrangian values."""
-
-    potential: float
-    kinetic: float
-    work: float
-    lagrangian: float
-
-
-def displacement_ratio(x_a: float, x_b: float) -> Displacement:
-    """Weekly displacement from opening price x_a to closing price x_b."""
-    x_a = _require_finite("x_a", x_a)
-    x_b = _require_finite("x_b", x_b)
-    if x_a <= 0.0 or x_b <= 0.0:
-        raise DomainError(
-            f"prices must be positive, got x_a={x_a}, x_b={x_b}"
-        )
-    return Displacement(x_a=x_a, x_b=x_b, ratio=x_b / x_a - 1.0)
-
-
-def phase_from_ratio(x: float, amplitude: float) -> float:
-    """Invert x = R sin(phi) on the principal branch, phi in [-pi/2, pi/2].
-
-    |x| may exceed the amplitude by at most a 1e-9 relative margin (treated
-    as numerical noise and clamped); larger excursions are domain errors
-    because the model admits no displacement beyond the extreme R.
-    """
-    x = _require_finite("x", x)
-    amplitude = _require_finite("amplitude", amplitude)
-    if amplitude <= 0.0:
-        raise DomainError(f"amplitude must be > 0, got {amplitude}")
-    u = x / amplitude
-    if abs(u) > 1.0:
-        if abs(u) - 1.0 > _CLAMP_TOL:
-            raise DomainError(
-                f"|x|={abs(x)} exceeds extreme displacement {amplitude}"
-            )
-        u = math.copysign(1.0, u)
-    return math.asin(u)
-
-
-def psi_pair(phi: float, amplitude: float) -> tuple[PhaseState, PhaseState]:
-    """The wave and its conjugate at phase phi: R(sin phi, +-cos phi).
-
-    Averaging the pair recovers the real displacement exactly:
-    (psi + psi*)/2 = R sin(phi) with zero imaginary part by construction.
-    """
-    phi = _require_finite("phi", phi)
-    amplitude = _require_finite("amplitude", amplitude)
-    if amplitude <= 0.0:
-        raise DomainError(f"amplitude must be > 0, got {amplitude}")
-    if abs(phi) > math.pi / 2.0 + 1e-12:
-        raise DomainError(f"phase {phi} outside [-pi/2, pi/2]")
-    re = amplitude * math.sin(phi)
-    im = amplitude * math.cos(phi)
-    psi = PhaseState(phi=phi, amplitude=amplitude, psi_re=re, psi_im=im)
-    conj = PhaseState(phi=phi, amplitude=amplitude, psi_re=re, psi_im=-im)
-    return psi, conj
-
-
-def stiffness(params: OscillatorParams, phi: float) -> float:
-    """Restoring constant k = m phi^2 / t^2 implied by the phase."""
-    phi = _require_finite("phi", phi)
-    return params.m * phi * phi / (params.t * params.t)
-
-
 def action(params: OscillatorParams, x: float) -> float:
     """Action of the week's move, S = m x^2 / (2 t)."""
     x = _require_finite("x", x)
     return 0.5 * params.m * x * x / params.t
-
-
-def action_first_order(params: OscillatorParams, x: float) -> float:
-    """First-order (in t-1) action, S1 = (m x^2 / 2)(2 - t).
-
-    Coincides with `action` at t = 1, where the action is stationary.
-    """
-    x = _require_finite("x", x)
-    return 0.5 * params.m * x * x * (2.0 - params.t)
 
 
 def action_from_phase(phi: float) -> float:
@@ -238,49 +74,6 @@ def action_from_phase(phi: float) -> float:
         raise DomainError(f"phase {phi} outside [-pi/2, pi/2]")
     u = _TWO_PI * math.sin(phi)
     return u * u
-
-
-def energies(params: OscillatorParams, x: float) -> EnergyTerms:
-    """Slice-average energies: V = K = W = m x^2 / (2 t^2), L = -V.
-
-    Uses the average-velocity convention xdot = x/t; within a slice only
-    averages are defined, and at slice scale the potential, kinetic, and
-    work terms coincide.
-    """
-    x = _require_finite("x", x)
-    v = 0.5 * params.m * (x / params.t) ** 2
-    return EnergyTerms(potential=v, kinetic=v, work=v, lagrangian=-v)
-
-
-def frequencies(phi: float, t: float) -> tuple[float, float]:
-    """Angular and ordinary frequency, (omega, nu) = (phi/t, phi/(2 pi t))."""
-    phi = _require_finite("phi", phi)
-    t = _require_finite("t", t)
-    if t <= 0.0:
-        raise DomainError(f"elapsed time t must be > 0, got {t}")
-    omega = phi / t
-    return omega, omega / _TWO_PI
-
-
-def normalization_constants(params: OscillatorParams) -> tuple[float, float]:
-    """(Q_psi, Q_x) = (1/sqrt(pi), sqrt(m/(2 pi t)))."""
-    q_psi = 1.0 / _SQRT_PI
-    q_x = math.sqrt(params.m / (_TWO_PI * params.t))
-    return q_psi, q_x
-
-
-def prob_psi(phi: float) -> float:
-    """Gaussian phase density Pr(psi) = exp(-phi^2)/sqrt(pi)."""
-    phi = _require_finite("phi", phi)
-    return math.exp(-phi * phi) / _SQRT_PI
-
-
-def prob_x(params: OscillatorParams, x: float) -> float:
-    """Squared-wave displacement density, (Q_x exp(-S))^2."""
-    x = _require_finite("x", x)
-    _, q_x = normalization_constants(params)
-    amp = q_x * math.exp(-action(params, x))
-    return amp * amp
 
 
 def prob_at_least(params: OscillatorParams, x_min: float) -> float:

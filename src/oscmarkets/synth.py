@@ -10,7 +10,7 @@ counter-based generator seeded from SynthSpec.seed, so sequences are
 reproducible across platforms and parallel generation can partition the
 index space by seed (never by sharing generator state).
 
-Entries carry fabricated endpoints x_A = 100, x_B = 100 (1 + x) and
+Weeks carry fabricated endpoints x_A = 100, x_B = 100 (1 + x) and
 consecutive fabricated Friday week-end dates; the series is synthetic
 plumbing for the estimator's closed loop, not a price path.
 """
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError
-from .ingest import DisplacementEntry, DisplacementSeries
-from .model import Displacement
+from .ingest import DisplacementSeries
 from .specfun import erfc_inv
 
 __all__ = ["SynthSpec", "sample_displacements"]
@@ -78,16 +77,7 @@ def sample_displacements(spec: SynthSpec) -> DisplacementSeries:
             f"drawn displacement {x.min():g} is <= -1; m={spec.m:g} is too "
             f"small to fabricate positive prices"
         )
-    entries = []
-    day = _EPOCH
-    step = dt.timedelta(days=7)
-    for ratio in x.tolist():
-        entries.append(DisplacementEntry(
-            week_end=day,
-            value=Displacement(x_a=BASE_PRICE,
-                               x_b=BASE_PRICE * (1.0 + ratio),
-                               ratio=ratio),
-        ))
-        day += step
-    return DisplacementSeries(asset_id=f"synthetic-m{spec.m:g}",
-                              entries=tuple(entries))
+    week_end = np.datetime64(_EPOCH, "D") + 7 * np.arange(spec.n)
+    return DisplacementSeries(f"synthetic-m{spec.m:g}", week_end,
+                              np.full(spec.n, BASE_PRICE),
+                              BASE_PRICE * (1.0 + x), x)

@@ -88,7 +88,7 @@ class TestRunBacktest:
     def test_prior_close_is_weeks_opening(self):
         series = load("backtest_quiet.csv")
         report = run_backtest(series, self.CONFIG)
-        assert report.prior_close == series.points[-2].close
+        assert report.prior_close == series.close[-2]
 
     def test_crash_week_absent(self):
         config = BacktestConfig(crash_week_end=dt.date(2004, 12, 7))
@@ -97,7 +97,7 @@ class TestRunBacktest:
 
     def test_overlapping_window_rejected(self):
         series = load("backtest_quiet.csv")
-        inside = series.points[50].week_end
+        inside = series.week_end[50].item()
         config = BacktestConfig(crash_week_end=inside, train_start_index=0,
                                 train_count=100)
         with pytest.raises(DataError, match="strictly follow"):
@@ -106,10 +106,10 @@ class TestRunBacktest:
     def test_crash_adjacent_to_window_ok(self):
         # the crash week may be the first week after the training window
         series = load("backtest_quiet.csv")
-        config = BacktestConfig(crash_week_end=series.points[60].week_end,
+        config = BacktestConfig(crash_week_end=series.week_end[60].item(),
                                 train_start_index=0, train_count=59)
         report = run_backtest(series, config)
-        assert report.prior_close == series.points[59].close
+        assert report.prior_close == series.close[59]
 
     def test_determinism(self):
         series = load("backtest_quiet.csv")

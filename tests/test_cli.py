@@ -242,12 +242,65 @@ class TestConfigFile:
         assert code == 1
         assert "key=value" in err
 
+    @pytest.mark.parametrize("value, message", [("abc", "not an integer"),
+                                                ("0", "must be >= 1")])
+    def test_bad_train_count(self, capsys, tmp_path, monkeypatch, value,
+                             message):
+        cfg = tmp_path / "osc.cfg"
+        cfg.write_text(f"train_count={value}\n")
+        monkeypatch.setenv(CONFIG_ENV, str(cfg))
+        code, out, err = run(capsys, "backtest", "--input", str(QUIET),
+                             "--crash-week", "2004-12-06")
+        assert code == 1 and out == ""
+        assert err == f"usage error: config key train_count: {message}" + (
+            f": {value!r}\n" if value == "abc" else f", got {value}\n")
+
     def test_missing_file_rejected(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(CONFIG_ENV, str(tmp_path / "absent.cfg"))
         code, _, err = run(capsys, "predict", "--m-hat", "1",
                            "--prior-close", "1")
         assert code == 1
         assert "config file" in err
+
+
+class TestByteOrderMark:
+    """A UTF-8 BOM in front of the header changes nothing."""
+
+    @staticmethod
+    def with_bom(tmp_path, source):
+        path = tmp_path / source.name
+        path.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ("ingest", "--format", "csv"),
+        ("estimate", "--window", "0:100"),
+        ("backtest", "--crash-week", "2004-12-06"),
+    ])
+    def test_input_file(self, capsys, tmp_path, argv):
+        command, *rest = argv
+        want = run(capsys, command, "--input", str(QUIET), *rest)
+        got = run(capsys, command, "--input", self.with_bom(tmp_path, QUIET),
+                  *rest)
+        assert got[0] == 0 and got[2] == ""
+        assert got[1].replace(str(tmp_path), str(DATA)) == want[1]
+
+    def test_stdin(self, capsys, monkeypatch):
+        _, synth_out, _ = run(capsys, "synth", "--m", "977.73", "--n", "100",
+                              "--seed", "1")
+        monkeypatch.setattr("sys.stdin", io.StringIO(synth_out))
+        want = run(capsys, "estimate", "--stdin")
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + synth_out))
+        got = run(capsys, "estimate", "--stdin")
+        assert got[0] == 0 and got == want
+
+    def test_config_file(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "osc.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfm_hat=977.73\nprior_close=1099.23\n")
+        monkeypatch.setenv(CONFIG_ENV, str(cfg))
+        code, out, err = run(capsys, "predict")
+        assert code == 0, err
+        assert "m_hat=977.73" in out.splitlines()[0]
 
 
 class TestExitCodes:

@@ -1,6 +1,5 @@
 """Estimator: frequencies, per-week inversion, r^2, and the grid fit."""
 
-import datetime as dt
 import io
 import math
 
@@ -21,8 +20,8 @@ from oscmarkets.estimate import (
     write_grid_csv,
     write_table_csv,
 )
-from oscmarkets.ingest import DisplacementEntry, DisplacementSeries
-from oscmarkets.model import Displacement, OscillatorParams, prob_at_least
+from oscmarkets.ingest import DisplacementSeries
+from oscmarkets.model import OscillatorParams, prob_at_least
 from oscmarkets.specfun import erfc_inv
 from oscmarkets.synth import SynthSpec, sample_displacements
 
@@ -31,15 +30,10 @@ M_WEEK_QUARTER = 505.48491457730306
 
 
 def series_from_ratios(ratios):
-    day = dt.date(2001, 1, 5)
-    entries = []
-    for r in ratios:
-        entries.append(DisplacementEntry(
-            week_end=day,
-            value=Displacement(x_a=100.0, x_b=100.0 * (1.0 + r), ratio=r),
-        ))
-        day += dt.timedelta(days=7)
-    return DisplacementSeries(asset_id="test", entries=tuple(entries))
+    ratios = np.asarray(ratios, dtype=np.float64)
+    week_end = np.datetime64("2001-01-05") + 7 * np.arange(ratios.size)
+    return DisplacementSeries("test", week_end, np.full(ratios.size, 100.0),
+                              100.0 * (1.0 + ratios), ratios)
 
 
 def ladder_series(m0, n, t=1.0):
@@ -240,6 +234,19 @@ class TestFitMHat:
                            grid_spec=GridSpec(n=200))
         assert len(result.grid) > 200
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tail_underflow_outlier_week(self, seed):
+        # at m = 2.5e5 a +10% week sits at z = 0.1 sqrt(m/2) ~ 35, where
+        # pr = erfc(z)^2 underflows to 0.0; the fit must still complete
+        x = sample_displacements(SynthSpec(m=2.5e5, n=100, seed=seed)).ratio
+        x = x.copy()
+        x[50] = 0.10
+        result = fit_m_hat(series_from_ratios(x))
+        prs = [row.pr for row in result.table]
+        assert prs.count(0.0) == 1 and prs[-1] == 0.0
+        assert result.r2 >= 0.99
+        assert result.m_hat == pytest.approx(2.5e5, rel=0.25)
+
     def test_too_few_weeks(self):
         with pytest.raises(DataError, match="at least 10"):
             fit_m_hat(series_from_ratios([0.01, -0.02, 0.03]))
@@ -277,7 +284,11 @@ class TestResultSurface:
         with pytest.raises(DomainError):
             ThresholdRow(x=0.01, rho=1.5, pr=0.5)
         with pytest.raises(DomainError):
-            ThresholdRow(x=0.01, rho=0.5, pr=0.0)
+            ThresholdRow(x=0.01, rho=0.5, pr=-0.1)
+        with pytest.raises(DomainError):
+            ThresholdRow(x=0.01, rho=0.5, pr=1.5)
+        # erfc(z)^2 underflows to 0.0 far in the tail: a legitimate value
+        assert ThresholdRow(x=0.01, rho=0.5, pr=0.0).pr == 0.0
 
     def test_serializations(self):
         result = fit_m_hat(ladder_series(900.0, 30), grid_spec=GridSpec(n=50))

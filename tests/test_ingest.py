@@ -3,12 +3,14 @@
 import datetime as dt
 import io
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscmarkets.errors import DataError
 from oscmarkets.ingest import (
     DisplacementSeries,
-    PricePoint,
     PriceSeries,
     parse_displacements,
     parse_prices,
@@ -30,22 +32,57 @@ def weekly_csv(closes, start="2001-01-05"):
     return "\n".join(lines) + "\n"
 
 
+def assert_same_series(a, b):
+    """Same type, asset and columns, dates and floats bit for bit."""
+    assert type(a) is type(b) and a.asset_id == b.asset_id
+    names = (("week_end", "close") if isinstance(a, PriceSeries)
+             else ("week_end", "x_a", "x_b", "ratio"))
+    for name in names:
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), name
+
+
+def increasing_days(min_size):
+    """Strictly increasing datetime64[D] arrays that start in the last
+    weeks of a random year, so most cross a year end and some an ISO
+    week 53."""
+    epoch = dt.date(1970, 1, 1).toordinal()
+    starts = st.tuples(st.integers(1, 9998), st.integers(0, 30)).map(
+        lambda p: dt.date(p[0], 12, 31).toordinal() - epoch - p[1])
+    gaps = st.lists(st.integers(1, 9), min_size=min_size - 1, max_size=40)
+    return st.tuples(starts, gaps).map(lambda p: np.array(
+        p[0] + np.cumsum([0] + p[1]), dtype="datetime64[D]"))
+
+
 class TestParsePrices:
     def test_minimal(self):
         s = parse_prices(WEEKLY_MIN)
-        assert len(s.points) == 2
-        assert s.points[0] == PricePoint(dt.date(1980, 6, 20), 100.0)
+        assert len(s) == 2
+        assert s.week_end[0] == np.datetime64("1980-06-20")
+        assert s.close[0] == 100.0
         assert s.unit == "1 trading week"
 
     def test_accepts_bytes_and_filelike(self):
-        assert len(parse_prices(WEEKLY_MIN.encode()).points) == 2
-        assert len(parse_prices(io.StringIO(WEEKLY_MIN)).points) == 2
+        assert len(parse_prices(WEEKLY_MIN.encode())) == 2
+        assert len(parse_prices(io.StringIO(WEEKLY_MIN))) == 2
+
+    def test_byte_order_mark_ignored(self):
+        plain = parse_prices(WEEKLY_MIN)
+        for source in (b"\xef\xbb\xbf" + WEEKLY_MIN.encode(),
+                       "\ufeff" + WEEKLY_MIN,
+                       io.StringIO("\ufeff" + WEEKLY_MIN)):
+            assert_same_series(parse_prices(source), plain)
+
+    def test_invalid_utf8_rejected(self):
+        with pytest.raises(DataError, match="UTF-8"):
+            parse_prices(WEEKLY_MIN.encode() + b"\xff\n")
 
     def test_extra_columns_ignored(self):
         text = ("date,open,close,volume\n"
                 "1980-06-20,99,100,123\n1980-06-27,101,110,456\n")
         s = parse_prices(text)
-        assert s.closes() == [100.0, 110.0]
+        assert s.close.tolist() == [100.0, 110.0]
 
     def test_empty_body(self):
         with pytest.raises(DataError, match="no rows"):
@@ -95,7 +132,7 @@ class TestDailyResampling:
                 "2001-01-04,13\n2001-01-05,14\n"
                 "2001-01-08,20\n2001-01-09,21\n")
         s = parse_prices(text, fmt="daily_csv")
-        assert [(p.week_end, p.close) for p in s.points] == [
+        assert list(zip(s.week_end.tolist(), s.close.tolist())) == [
             (dt.date(2001, 1, 5), 14.0),
             (dt.date(2001, 1, 9), 21.0),
         ]
@@ -106,20 +143,29 @@ class TestDailyResampling:
                 "2001-01-02,11\n2001-01-04,13\n"
                 "2001-01-08,20\n2001-01-12,24\n")
         s = parse_prices(text, fmt="daily_csv")
-        assert s.points[0].week_end == dt.date(2001, 1, 4)
-        assert s.points[0].close == 13.0
+        assert s.week_end[0] == np.datetime64("2001-01-04")
+        assert s.close[0] == 13.0
 
     def test_weekly_input_idempotent(self):
         text = weekly_csv([100.0, 101.5, 99.25, 103.0])
         direct = parse_prices(text, fmt="weekly_csv")
         through = parse_prices(text, fmt="daily_csv")
-        assert direct == through
+        assert_same_series(direct, through)
 
     def test_iso_week_boundary_sunday_monday(self):
         # Sunday 2001-01-07 is ISO week 1, Monday 2001-01-08 week 2
         text = "date,close\n2001-01-07,10\n2001-01-08,20\n"
         s = parse_prices(text, fmt="daily_csv")
-        assert len(s.points) == 2
+        assert len(s) == 2
+
+    def test_iso_week_53_and_year_end(self):
+        # 2004-12-27..2005-01-02 is ISO week 2004-W53; 2008-12-29 opens
+        # ISO 2009-W01 while still in calendar 2008
+        text = ("date,close\n"
+                "2004-12-27,1\n2004-12-31,2\n2005-01-02,3\n2005-01-03,4\n"
+                "2008-12-28,5\n2008-12-29,6\n2009-01-02,7\n")
+        s = parse_prices(text, fmt="daily_csv")
+        assert s.close.tolist() == [3.0, 4.0, 5.0, 7.0]
 
 
 class TestToDisplacements:
@@ -127,11 +173,11 @@ class TestToDisplacements:
         s = parse_prices(weekly_csv([100.0, 110.0, 99.0]))
         d = to_displacements(s)
         assert d.ratios() == pytest.approx([0.10, -0.10], rel=1e-12)
-        assert len(d) == len(s.points) - 1
+        assert len(d) == len(s) - 1
 
     def test_constant_series(self):
         d = to_displacements(parse_prices(weekly_csv([50.0, 50.0, 50.0])))
-        assert d.ratios() == [0.0, 0.0]
+        assert d.ratios().tolist() == [0.0, 0.0]
 
     def test_crash_week_ratio(self):
         d = to_displacements(parse_prices(weekly_csv([1099.23, 899.22])))
@@ -140,13 +186,12 @@ class TestToDisplacements:
     def test_dated_by_later_week(self):
         s = parse_prices(weekly_csv([100.0, 110.0], start="2001-01-05"))
         d = to_displacements(s)
-        assert d.entries[0].week_end == dt.date(2001, 1, 12)
+        assert d.week_end[0] == np.datetime64("2001-01-12")
 
     def test_chaining_identity(self):
         d = to_displacements(parse_prices(weekly_csv(
             [100.0, 104.2, 101.7, 108.3, 95.0])))
-        for prev, cur in zip(d.entries, d.entries[1:]):
-            assert cur.x_a == prev.x_b
+        assert d.x_a[1:].tolist() == d.x_b[:-1].tolist()
 
 
 class TestWindow:
@@ -158,16 +203,20 @@ class TestWindow:
         d = self.make(150)
         w = window(d, 0, 100)
         assert len(w) == 100
-        assert w.entries == d.entries[:100]
+        assert_same_series(w, DisplacementSeries(
+            d.asset_id, d.week_end[:100], d.x_a[:100], d.x_b[:100],
+            d.ratio[:100]))
 
     def test_identity(self):
         d = self.make(10)
-        assert window(d, 0, len(d)) == d
+        assert_same_series(window(d, 0, len(d)), d)
 
     def test_interior(self):
         d = self.make(10)
         w = window(d, 3, 4)
-        assert w.entries == d.entries[3:7]
+        assert_same_series(w, DisplacementSeries(
+            d.asset_id, d.week_end[3:7], d.x_a[3:7], d.x_b[3:7],
+            d.ratio[3:7]))
 
     @pytest.mark.parametrize("start, count", [(5, 10), (-1, 3), (0, 0),
                                               (0, 11)])
@@ -181,22 +230,42 @@ class TestSeriesInvariants:
         # synthetic series fabricate endpoints per entry, so the type
         # accepts them; chaining is guaranteed only by to_displacements
         good = to_displacements(parse_prices(weekly_csv([100.0, 110.0, 99.0])))
-        e0, e1 = good.entries
-        fabricated = type(e1)(week_end=e1.week_end,
-                              value=type(e1.value)(x_a=100.0, x_b=90.0,
-                                                   ratio=90.0 / 100.0 - 1.0))
-        s = DisplacementSeries(asset_id="x", entries=(e0, fabricated))
+        s = DisplacementSeries("x", good.week_end, [100.0, 100.0],
+                               [good.x_b[0], 90.0],
+                               [good.ratio[0], 90.0 / 100.0 - 1.0])
         assert len(s) == 2
 
     def test_empty_rejected(self):
         with pytest.raises(DataError, match="empty"):
-            DisplacementSeries(asset_id="x", entries=())
+            DisplacementSeries("x", [], [], [], [])
 
     def test_price_series_needs_increasing_dates(self):
-        pts = (PricePoint(dt.date(2001, 1, 12), 10.0),
-               PricePoint(dt.date(2001, 1, 5), 11.0))
-        with pytest.raises(DataError, match="strictly increasing"):
-            PriceSeries(asset_id="x", points=pts)
+        with pytest.raises(DataError, match="not after"):
+            PriceSeries("x", ["2001-01-12", "2001-01-05"], [10.0, 11.0])
+        with pytest.raises(DataError, match="duplicate"):
+            DisplacementSeries("x", ["2001-01-05", "2001-01-05"], [1.0, 1.0],
+                               [1.0, 1.0], [0.0, 0.0])
+
+    def test_columns_must_match(self):
+        with pytest.raises(DataError, match="equal length"):
+            PriceSeries("x", ["2001-01-05", "2001-01-12"], [10.0])
+        with pytest.raises(DataError, match="1-D"):
+            PriceSeries("x", [["2001-01-05", "2001-01-12"]], [[1.0, 2.0]])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_price_series_needs_positive_finite_closes(self, bad):
+        with pytest.raises(DataError, match="close"):
+            PriceSeries("x", ["2001-01-05", "2001-01-12"], [10.0, bad])
+
+    def test_columns_are_read_only_copies(self):
+        close = np.array([10.0, 11.0])
+        s = PriceSeries("x", ["2001-01-05", "2001-01-12"], close)
+        close[0] = -1.0
+        assert s.close[0] == 10.0
+        with pytest.raises(ValueError):
+            s.close[0] = -1.0
+        with pytest.raises(ValueError):
+            to_displacements(s).ratio[0] = 0.5
 
 
 class TestRoundTrips:
@@ -209,20 +278,29 @@ class TestRoundTrips:
         for got, want in zip(rebuilt, closes):
             assert abs(got - want) <= 1e-10 * want
 
-    def test_price_csv_round_trip(self):
-        s = parse_prices(weekly_csv([100.0, 104.33333333333333, 96.8]))
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_price_csv_round_trip(self, data):
+        days = data.draw(increasing_days(min_size=2))
+        closes = data.draw(st.lists(
+            st.floats(min_value=1e-300, max_value=1e300), min_size=len(days),
+            max_size=len(days)))
+        s = PriceSeries("asset", days, closes)
         buf = io.StringIO()
         write_prices(s, buf)
-        again = parse_prices(buf.getvalue())
-        assert again == s
+        assert_same_series(parse_prices(buf.getvalue()), s)
 
-    def test_displacement_csv_round_trip(self):
-        d = to_displacements(parse_prices(weekly_csv(
-            [100.0, 104.25, 96.8, 121.77])))
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_displacement_csv_round_trip(self, data):
+        days = data.draw(increasing_days(min_size=2))
+        closes = data.draw(st.lists(
+            st.floats(min_value=1e-3, max_value=1e6), min_size=len(days),
+            max_size=len(days)))
+        d = to_displacements(PriceSeries("asset", days, closes))
         buf = io.StringIO()
         write_displacements(d, buf)
-        again = parse_displacements(buf.getvalue())
-        assert again == d
+        assert_same_series(parse_displacements(buf.getvalue()), d)
 
     def test_displacement_csv_header(self):
         d = to_displacements(parse_prices(WEEKLY_MIN))
@@ -235,3 +313,21 @@ class TestRoundTrips:
                 "2001-01-12,100.0,110.0,0.2\n")
         with pytest.raises(DataError, match="line 2"):
             parse_displacements(text)
+
+
+class TestResamplerMatchesIsoCalendar:
+    @settings(max_examples=200, deadline=None)
+    @given(increasing_days(min_size=2))
+    def test_keeps_last_day_of_each_iso_week(self, days):
+        dates = days.tolist()
+        weeks = [d.isocalendar()[:2] for d in dates]
+        keep = [i for i in range(len(dates))
+                if i + 1 == len(dates) or weeks[i + 1] != weeks[i]]
+        if len(keep) < 2:
+            return  # a single week is not a price series
+        closes = np.arange(1.0, len(dates) + 1.0)
+        text = "date,close\n" + "".join(
+            f"{d.isoformat()},{c!r}\n" for d, c in zip(dates, closes.tolist()))
+        s = parse_prices(text, fmt="daily_csv")
+        assert s.week_end.tolist() == [dates[i] for i in keep]
+        assert s.close.tolist() == closes[keep].tolist()

@@ -9,38 +9,26 @@ import math
 import numpy as np
 import pytest
 
-from oscmarkets.errors import DomainError
+from oscmarkets.errors import DataError, DomainError
+from oscmarkets.ingest import (
+    DisplacementSeries,
+    PriceSeries,
+    to_displacements,
+)
 from oscmarkets.model import (
-    Displacement,
-    EnergyTerms,
     OscillatorParams,
-    PhaseState,
     action,
-    action_first_order,
     action_from_phase,
-    displacement_ratio,
-    energies,
     extreme_displacement,
-    frequencies,
-    normalization_constants,
-    phase_from_ratio,
     prob_at_least,
-    prob_psi,
-    prob_x,
-    psi_pair,
-    stiffness,
 )
 from oscmarkets.specfun import erfc_inv
 
 # mpmath oracles, 40 dps
 SPX_CRASH_RATIO = -0.1819546409759559  # 899.22/1099.23 - 1
-STIFFNESS_4_2_HALFPI = 2.4674011002723397  # 4*(pi/2)^2/4
 ACTION_SPX_5PCT = 1.2221625  # 977.73*0.05^2/2
 FOUR_PI_SQ = 39.47841760435743
 PI_SQ = 9.869604401089358
-Q_PSI = 0.5641895835477563  # 1/sqrt(pi)
-Q_X_SPX = 12.474396278347054  # sqrt(977.73/(2 pi))
-PROB_PSI_1 = 0.20755374871029735  # exp(-1)/sqrt(pi)
 ERFC1_SQ = 0.024743040538648471  # erfc(1)^2
 R_SPX = 0.28417469051903148  # pi*sqrt(8/977.73)
 R_DOW = 0.28352586917004161  # pi*sqrt(8/982.21)
@@ -59,98 +47,44 @@ class TestParams:
             OscillatorParams(m=m, t=t)
 
 
+def week(x_a, x_b, ratio=None):
+    """One-week displacement series; without a ratio, the one derived
+    from the two closes x_a, x_b."""
+    if ratio is None:
+        prices = PriceSeries("x", ["2001-01-05", "2001-01-12"], [x_a, x_b])
+        return to_displacements(prices)
+    return DisplacementSeries("x", ["2001-01-12"], [x_a], [x_b], [ratio])
+
+
 class TestDisplacement:
+    # the ratio x = x_b/x_a - 1 and its rules, as the series type keeps them
     def test_direct_ratio(self):
-        d = displacement_ratio(90.0, 100.0)
-        assert d.ratio == pytest.approx(1.0 / 9.0, rel=1e-15)
+        assert week(90.0, 100.0).ratio[0] == pytest.approx(1.0 / 9.0,
+                                                           rel=1e-15)
 
     def test_no_move(self):
-        assert displacement_ratio(123.4, 123.4).ratio == 0.0
+        assert week(123.4, 123.4).ratio[0] == 0.0
 
     def test_spx_crash_week(self):
-        d = displacement_ratio(1099.23, 899.22)
-        assert d.ratio == pytest.approx(SPX_CRASH_RATIO, rel=1e-14)
+        assert week(1099.23, 899.22).ratio[0] == pytest.approx(
+            SPX_CRASH_RATIO, rel=1e-14)
 
     @pytest.mark.parametrize("x_a, x_b", [(0.0, 1.0), (-5.0, 1.0), (1.0, 0.0),
                                           (1.0, -1.0)])
     def test_nonpositive_prices(self, x_a, x_b):
-        with pytest.raises(DomainError):
-            displacement_ratio(x_a, x_b)
+        with pytest.raises(DataError, match="positive"):
+            week(x_a, x_b, ratio=0.5)
+
+    def test_ratio_must_exceed_minus_one(self):
+        with pytest.raises(DataError, match="exceed -1"):
+            week(1e20, 1.0, ratio=1.0 / 1e20 - 1.0)
 
     def test_inconsistent_ratio_rejected(self):
-        with pytest.raises(DomainError):
-            Displacement(x_a=100.0, x_b=110.0, ratio=0.2)
-
-
-class TestPhase:
-    def test_zero(self):
-        assert phase_from_ratio(0.0, 1.7) == 0.0
-
-    def test_extreme(self):
-        assert phase_from_ratio(2.0, 2.0) == pytest.approx(math.pi / 2.0)
-        assert phase_from_ratio(-2.0, 2.0) == pytest.approx(-math.pi / 2.0)
-
-    def test_half_amplitude(self):
-        assert phase_from_ratio(1.0, 2.0) == pytest.approx(math.pi / 6.0,
-                                                           rel=1e-15)
-
-    def test_noise_clamped(self):
-        r = 0.3
-        assert phase_from_ratio(r * (1.0 + 1e-12), r) == pytest.approx(
-            math.pi / 2.0)
-
-    def test_beyond_extreme_rejected(self):
-        with pytest.raises(DomainError):
-            phase_from_ratio(0.31, 0.3)
-
-    def test_round_trip(self):
-        amp = 0.284
-        for phi in np.linspace(-math.pi / 2, math.pi / 2, 201):
-            x = amp * math.sin(phi)
-            assert abs(phase_from_ratio(x, amp) - phi) <= 1e-12
-
-
-class TestPsiPair:
-    def test_pure_imaginary_at_zero_phase(self):
-        psi, conj = psi_pair(0.0, 2.5)
-        assert (psi.psi_re, psi.psi_im) == (0.0, 2.5)
-        assert (conj.psi_re, conj.psi_im) == (0.0, -2.5)
-
-    def test_collapse_at_extreme_phase(self):
-        psi, conj = psi_pair(math.pi / 2.0, 3.0)
-        assert psi.psi_re == pytest.approx(3.0)
-        assert abs(psi.psi_im) < 1e-15
-        assert conj.psi_re == psi.psi_re
-
-    def test_median_identity(self):
-        for phi in np.linspace(-math.pi / 2, math.pi / 2, 101):
-            psi, conj = psi_pair(float(phi), 2.0)
-            assert psi.psi_im + conj.psi_im == 0.0
-            mean_re = 0.5 * (psi.psi_re + conj.psi_re)
-            assert mean_re == psi.psi_re
-            assert mean_re == pytest.approx(2.0 * math.sin(phi), abs=1e-15)
-
-    def test_modulus_is_amplitude(self):
-        psi, _ = psi_pair(0.3, 2.0)
-        assert math.hypot(psi.psi_re, psi.psi_im) == pytest.approx(2.0,
-                                                                   abs=1e-12)
-
-    def test_state_validation(self):
-        with pytest.raises(DomainError):
-            PhaseState(phi=0.3, amplitude=2.0, psi_re=1.0, psi_im=1.0)
+        with pytest.raises(DataError, match="inconsistent"):
+            week(100.0, 110.0, ratio=0.2)
 
 
 class TestActionAndStiffness:
-    def test_stiffness_zero_phase(self):
-        assert stiffness(OscillatorParams(m=5.0), 0.0) == 0.0
-
-    def test_stiffness_unit(self):
-        assert stiffness(OscillatorParams(m=1.0, t=1.0), 1.0) == 1.0
-
-    def test_stiffness_hand_value(self):
-        k = stiffness(OscillatorParams(m=4.0, t=2.0), math.pi / 2.0)
-        assert k == pytest.approx(STIFFNESS_4_2_HALFPI, rel=1e-14)
-
     def test_action_zero(self):
         assert action(OscillatorParams(m=977.73), 0.0) == 0.0
 
@@ -160,17 +94,6 @@ class TestActionAndStiffness:
 
     def test_action_unit(self):
         assert action(OscillatorParams(m=2.0, t=1.0), 1.0) == 1.0
-
-    def test_first_order_matches_at_unit_time(self):
-        p = OscillatorParams(m=733.1, t=1.0)
-        for x in (-0.2, -0.01, 0.0, 0.037, 0.15):
-            assert action_first_order(p, x) == action(p, x)
-
-    def test_first_order_vanishes_at_t2(self):
-        assert action_first_order(OscillatorParams(m=2.0, t=2.0), 1.0) == 0.0
-
-    def test_first_order_hand_value(self):
-        assert action_first_order(OscillatorParams(m=2.0, t=1.5), 1.0) == 0.5
 
     def test_phase_form(self):
         assert action_from_phase(0.0) == 0.0
@@ -188,95 +111,6 @@ class TestActionAndStiffness:
                 s_x = action(p, r * math.sin(phi))
                 s_phi = action_from_phase(float(phi))
                 assert abs(s_x - s_phi) <= 1e-12 * max(1.0, s_phi)
-
-
-class TestEnergies:
-    def test_zero(self):
-        e = energies(OscillatorParams(m=4.0), 0.0)
-        assert e == EnergyTerms(0.0, 0.0, 0.0, -0.0)
-
-    def test_unit_case(self):
-        e = energies(OscillatorParams(m=2.0, t=1.0), 1.0)
-        assert (e.potential, e.kinetic, e.work, e.lagrangian) == (1, 1, 1, -1)
-
-    def test_identity_all_equal(self):
-        e = energies(OscillatorParams(m=977.73, t=1.0), 0.03)
-        assert e.potential == e.kinetic == e.work
-        assert e.lagrangian == -e.potential
-
-    def test_time_scaling(self):
-        e1 = energies(OscillatorParams(m=10.0, t=1.0), 0.1)
-        e2 = energies(OscillatorParams(m=10.0, t=2.0), 0.1)
-        assert e2.potential == pytest.approx(e1.potential / 4.0, rel=1e-15)
-
-
-class TestFrequencies:
-    def test_quarter_cycle(self):
-        omega, nu = frequencies(math.pi / 2.0, 1.0)
-        assert nu == pytest.approx(0.25, rel=1e-15)
-        assert omega == pytest.approx(math.pi / 2.0)
-
-    def test_zero(self):
-        assert frequencies(0.0, 3.0) == (0.0, 0.0)
-
-    def test_direct_division(self):
-        omega, nu = frequencies(math.pi, 2.0)
-        assert omega == pytest.approx(math.pi / 2.0)
-        assert nu == pytest.approx(0.25, rel=1e-15)
-
-    def test_bad_time(self):
-        with pytest.raises(DomainError):
-            frequencies(1.0, 0.0)
-
-
-class TestNormalization:
-    def test_q_psi_constant(self):
-        q_psi, _ = normalization_constants(OscillatorParams(m=3.0, t=2.0))
-        assert q_psi == pytest.approx(Q_PSI, rel=1e-15)
-
-    def test_q_x_unit_construction(self):
-        _, q_x = normalization_constants(OscillatorParams(m=2.0 * math.pi))
-        assert q_x == pytest.approx(1.0, rel=1e-15)
-
-    def test_q_x_hand_value(self):
-        _, q_x = normalization_constants(OscillatorParams(m=977.73))
-        assert q_x == pytest.approx(Q_X_SPX, rel=1e-14)
-
-    def test_identity(self):
-        for m, t in ((355.92, 1.0), (977.73, 1.0), (2513.76, 0.5), (7.0, 3.0)):
-            p = OscillatorParams(m=m, t=t)
-            q_psi, q_x = normalization_constants(p)
-            assert abs(q_x - q_psi * math.sqrt(m / (2.0 * t))) <= 1e-14 * q_x
-
-
-class TestDensities:
-    def test_prob_psi_peak(self):
-        assert prob_psi(0.0) == pytest.approx(Q_PSI, rel=1e-15)
-
-    def test_prob_psi_symmetry(self):
-        assert prob_psi(0.8) == prob_psi(-0.8)
-
-    def test_prob_psi_hand_value(self):
-        assert prob_psi(1.0) == pytest.approx(PROB_PSI_1, rel=1e-14)
-
-    def test_prob_psi_normalized(self):
-        phi = np.linspace(-8.0, 8.0, 100001)
-        total = np.trapezoid([prob_psi(float(v)) for v in phi], phi)
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_prob_x_zero_action(self):
-        p = OscillatorParams(m=2.0 * math.pi, t=1.0)
-        assert prob_x(p, 0.0) == pytest.approx(1.0, rel=1e-15)
-
-    def test_prob_x_is_qx_squared_at_zero(self):
-        p = OscillatorParams(m=977.73)
-        _, q_x = normalization_constants(p)
-        assert prob_x(p, 0.0) == pytest.approx(q_x * q_x, rel=1e-14)
-
-    def test_prob_x_monotone_in_magnitude(self):
-        p = OscillatorParams(m=977.73)
-        vals = [prob_x(p, x) for x in np.linspace(0.0, 0.3, 50)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 class TestTailLaw:

@@ -38,12 +38,14 @@ class TestDeterminism:
     def test_fixed_seed_reproduces(self):
         a = sample_displacements(SynthSpec(m=977.73, n=500, seed=42))
         b = sample_displacements(SynthSpec(m=977.73, n=500, seed=42))
-        assert a == b
+        assert a.asset_id == b.asset_id
+        for name in ("week_end", "x_a", "x_b", "ratio"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     def test_seeds_differ(self):
         a = sample_displacements(SynthSpec(m=977.73, n=500, seed=42))
         b = sample_displacements(SynthSpec(m=977.73, n=500, seed=43))
-        assert a.ratios() != b.ratios()
+        assert a.ratios().tolist() != b.ratios().tolist()
 
     def test_documented_algorithm(self):
         # the contract: Philox(seed); magnitude stream first, then signs;
@@ -54,19 +56,18 @@ class TestDeterminism:
         mags = math.sqrt(2.0 * 2.0 / 500.0) * erfc_inv(np.sqrt(u))
         signs = np.where(rng.random(64) < 0.5, -1.0, 1.0)
         expected = (signs * mags).tolist()
-        assert sample_displacements(spec).ratios() == expected
+        assert sample_displacements(spec).ratios().tolist() == expected
 
 
 class TestSeriesShape:
     def test_fabricated_endpoints(self):
         s = sample_displacements(SynthSpec(m=977.73, n=20, seed=1))
-        for e in s.entries:
-            assert e.x_a == 100.0
-            assert e.x_b == pytest.approx(100.0 * (1.0 + e.ratio), rel=1e-14)
+        assert (s.x_a == 100.0).all()
+        assert s.x_b == pytest.approx(100.0 * (1.0 + s.ratio), rel=1e-14)
 
     def test_weekly_friday_dates(self):
         s = sample_displacements(SynthSpec(m=977.73, n=5, seed=1))
-        dates = [e.week_end for e in s.entries]
+        dates = s.week_end.tolist()
         assert dates[0] == dt.date(2000, 1, 7)
         assert all((b - a).days == 7 for a, b in zip(dates, dates[1:]))
         assert all(d.isoweekday() == 5 for d in dates)
@@ -79,7 +80,9 @@ class TestSeriesShape:
         buf = io.StringIO()
         write_displacements(s, buf)
         again = parse_displacements(buf.getvalue(), asset_id=s.asset_id)
-        assert again == s
+        assert again.asset_id == s.asset_id
+        for name in ("week_end", "x_a", "x_b", "ratio"):
+            assert getattr(again, name).tobytes() == getattr(s, name).tobytes()
 
     def test_tiny_m_cannot_fabricate_prices(self):
         with pytest.raises(DomainError, match="too small"):
