@@ -20,7 +20,11 @@ from oscmarkets.model import (
     action,
     action_from_phase,
     extreme_displacement,
+    normalization_constants,
+    phase_from_ratio,
     prob_at_least,
+    prob_psi,
+    prob_x,
 )
 from oscmarkets.specfun import erfc_inv
 
@@ -29,6 +33,9 @@ SPX_CRASH_RATIO = -0.1819546409759559  # 899.22/1099.23 - 1
 ACTION_SPX_5PCT = 1.2221625  # 977.73*0.05^2/2
 FOUR_PI_SQ = 39.47841760435743
 PI_SQ = 9.869604401089358
+Q_PSI = 0.5641895835477563  # 1/sqrt(pi)
+Q_X_SPX = 12.474396278347054  # sqrt(977.73/(2 pi))
+PROB_PSI_1 = 0.20755374871029735  # exp(-1)/sqrt(pi)
 ERFC1_SQ = 0.024743040538648471  # erfc(1)^2
 R_SPX = 0.28417469051903148  # pi*sqrt(8/977.73)
 R_DOW = 0.28352586917004161  # pi*sqrt(8/982.21)
@@ -84,6 +91,34 @@ class TestDisplacement:
             week(100.0, 110.0, ratio=0.2)
 
 
+class TestPhase:
+    def test_zero(self):
+        assert phase_from_ratio(0.0, 1.7) == 0.0
+
+    def test_extreme(self):
+        assert phase_from_ratio(2.0, 2.0) == pytest.approx(math.pi / 2.0)
+        assert phase_from_ratio(-2.0, 2.0) == pytest.approx(-math.pi / 2.0)
+
+    def test_half_amplitude(self):
+        assert phase_from_ratio(1.0, 2.0) == pytest.approx(math.pi / 6.0,
+                                                           rel=1e-15)
+
+    def test_noise_clamped(self):
+        r = 0.3
+        assert phase_from_ratio(r * (1.0 + 1e-12), r) == pytest.approx(
+            math.pi / 2.0)
+
+    def test_beyond_extreme_rejected(self):
+        with pytest.raises(DomainError):
+            phase_from_ratio(0.31, 0.3)
+
+    def test_round_trip(self):
+        amp = 0.284
+        for phi in np.linspace(-math.pi / 2, math.pi / 2, 201):
+            x = amp * math.sin(phi)
+            assert abs(phase_from_ratio(x, amp) - phi) <= 1e-12
+
+
 class TestActionAndStiffness:
     def test_action_zero(self):
         assert action(OscillatorParams(m=977.73), 0.0) == 0.0
@@ -111,6 +146,56 @@ class TestActionAndStiffness:
                 s_x = action(p, r * math.sin(phi))
                 s_phi = action_from_phase(float(phi))
                 assert abs(s_x - s_phi) <= 1e-12 * max(1.0, s_phi)
+
+
+class TestNormalization:
+    def test_q_psi_constant(self):
+        q_psi, _ = normalization_constants(OscillatorParams(m=3.0, t=2.0))
+        assert q_psi == pytest.approx(Q_PSI, rel=1e-15)
+
+    def test_q_x_unit_construction(self):
+        _, q_x = normalization_constants(OscillatorParams(m=2.0 * math.pi))
+        assert q_x == pytest.approx(1.0, rel=1e-15)
+
+    def test_q_x_hand_value(self):
+        _, q_x = normalization_constants(OscillatorParams(m=977.73))
+        assert q_x == pytest.approx(Q_X_SPX, rel=1e-14)
+
+    def test_identity(self):
+        for m, t in ((355.92, 1.0), (977.73, 1.0), (2513.76, 0.5), (7.0, 3.0)):
+            p = OscillatorParams(m=m, t=t)
+            q_psi, q_x = normalization_constants(p)
+            assert abs(q_x - q_psi * math.sqrt(m / (2.0 * t))) <= 1e-14 * q_x
+
+
+class TestDensities:
+    def test_prob_psi_peak(self):
+        assert prob_psi(0.0) == pytest.approx(Q_PSI, rel=1e-15)
+
+    def test_prob_psi_symmetry(self):
+        assert prob_psi(0.8) == prob_psi(-0.8)
+
+    def test_prob_psi_hand_value(self):
+        assert prob_psi(1.0) == pytest.approx(PROB_PSI_1, rel=1e-14)
+
+    def test_prob_psi_normalized(self):
+        phi = np.linspace(-8.0, 8.0, 100001)
+        total = np.trapezoid([prob_psi(float(v)) for v in phi], phi)
+        assert total == pytest.approx(1.0, abs=1e-6)
+
+    def test_prob_x_zero_action(self):
+        p = OscillatorParams(m=2.0 * math.pi, t=1.0)
+        assert prob_x(p, 0.0) == pytest.approx(1.0, rel=1e-15)
+
+    def test_prob_x_is_qx_squared_at_zero(self):
+        p = OscillatorParams(m=977.73)
+        _, q_x = normalization_constants(p)
+        assert prob_x(p, 0.0) == pytest.approx(q_x * q_x, rel=1e-14)
+
+    def test_prob_x_monotone_in_magnitude(self):
+        p = OscillatorParams(m=977.73)
+        vals = [prob_x(p, x) for x in np.linspace(0.0, 0.3, 50)]
+        assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 class TestTailLaw:
