@@ -1,0 +1,48 @@
+"""Print one SHA-256 digest of the 300 acceptance-criterion-5 fits.
+
+The fits are those of tests/test_acceptance.py criterion 5: m_true in
+{355.92, 977.73, 2513.76}, N in {100, 1000}, seeds 0-49, each
+sample_displacements(SynthSpec(m, n, seed)) followed by fit_m_hat with the
+default grid. The digest covers repr((m_hat, r2, table, grid)) of every fit
+in that order, so two source trees give the same digest exactly when all
+300 fits are bit-identical.
+
+The digest depends on the numpy and BLAS build and on the CPU (the SIMD
+paths of exp and sqrt, the BLAS kernels), so it compares two commits on
+one machine only; it is not a portable reference value.
+
+    python scripts/fit_digest.py            # this checkout's src/
+    python scripts/fit_digest.py OTHER/src  # another checkout's src/
+"""
+
+import hashlib
+import pathlib
+import sys
+
+SRC = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else
+                   pathlib.Path(__file__).resolve().parents[1] / "src")
+sys.path.insert(0, str(SRC.resolve()))
+
+from oscmarkets.estimate import fit_m_hat  # noqa: E402
+from oscmarkets.synth import SynthSpec, sample_displacements  # noqa: E402
+
+M_TRUE = (355.92, 977.73, 2513.76)
+SIZES = (100, 1000)
+SEEDS = range(50)
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    for m_true in M_TRUE:
+        for n in SIZES:
+            for seed in SEEDS:
+                sample = sample_displacements(SynthSpec(m=m_true, n=n,
+                                                        seed=seed))
+                fit = fit_m_hat(sample)
+                key = (fit.m_hat, fit.r2, fit.table, fit.grid)
+                digest.update(repr(key).encode())
+    print(digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Optional
 
 import numpy as np
 
 from .errors import DataError, DomainError
-from .estimate import GridSpec, fit_m_hat
+from .estimate import EstimationResult, GridSpec, fit_m_hat
 from .ingest import PriceSeries, to_displacements, window
 from .model import OscillatorParams, extreme_displacement
 
@@ -70,6 +70,8 @@ class BacktestReport:
     actual_ratio: float
     violated: bool
     years_from_train_to_crash: float
+    fit: Optional[EstimationResult] = field(default=None, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         implied = self.predicted_extreme_ratio * self.prior_close
@@ -132,6 +134,7 @@ def run_backtest(series: PriceSeries, config: BacktestConfig,
         actual_ratio=actual_ratio,
         violated=actual_points > predicted_points,
         years_from_train_to_crash=round(elapsed_days / DAYS_PER_YEAR, 1),
+        fit=fit,
     )
 
 

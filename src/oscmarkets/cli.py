@@ -173,12 +173,25 @@ def _layer(cli_value, file_cfg: dict, key: str, kind, default):
 
 def _read_input(path: str) -> str:
     if path == "-":
-        return _as_text(sys.stdin)
+        if sys.stdin is None:
+            raise DataError("cannot read standard input: it is closed")
+        try:
+            return _as_text(sys.stdin)
+        except OSError as exc:
+            raise DataError(f"cannot read standard input: {exc}") from None
     try:
         with open(path, encoding="utf-8") as fh:
             return _as_text(fh)
     except OSError as exc:
         raise DataError(f"cannot read input {path}: {exc}") from None
+
+
+def _warn_grid_edge(fit: est.EstimationResult) -> None:
+    """One stderr line when the grid argmax was the first or last candidate."""
+    if fit.at_grid_edge:
+        lo, hi = fit.bracket
+        print(f"warning: m_hat {fit.m_hat:.4f} at the edge of the search "
+              f"grid [{lo!r}, {hi!r}]", file=sys.stderr)
 
 
 def _asset_label(path: str) -> str:
@@ -296,6 +309,7 @@ def _cmd_estimate(ns, file_cfg) -> str:
     if ns.window is not None:
         series = window(series, ns.window[0], ns.window[1])
     result = est.fit_m_hat(series, t=t, grid_spec=grid, method=ns.r2_method)
+    _warn_grid_edge(result)
     window_label = (f"{ns.window[0]}:{ns.window[1]}" if ns.window is not None
                     else "all")
     pairs = [("command", "estimate"), ("input", source),
@@ -391,6 +405,7 @@ def _cmd_backtest(ns, file_cfg) -> str:
     config = bt.BacktestConfig(crash_week_end=crash, train_start_index=start,
                                train_count=count, t=t)
     report = bt.run_backtest(series, config, grid_spec=grid)
+    _warn_grid_edge(report.fit)
     pairs = [("command", "backtest"), ("input", ns.input),
              ("output", ns.output), ("format", ns.format),
              ("t", repr(t)), ("window", f"{start}:{count}"),

@@ -16,7 +16,19 @@ analytic per-week inversions m_w = 2t (erfc_inv(sqrt(rho))/|x_w|)^2 by a
 factor of 4 on each side, followed by one golden-section refinement around
 the best candidate (all refinement evaluations are kept in the trace).
 Ties resolve to the smallest candidate, so a fit is deterministic for
-fixed inputs.
+fixed inputs. A fit records whether the grid argmax was the first or the
+last candidate (`at_grid_edge`), the sign that the optimum may lie outside
+the searched bracket.
+
+The grid is scored in blocks of rows holding about 2^16 tail-matrix
+elements each, so every temporary (about 512 KB) stays in a core's L2
+cache and a fit needs O(block x T) memory rather than O(grid x T) for T
+thresholds. Blocks are 8-row aligned: each starts at a multiple of 8, and a
+trailing block shorter than 8 rows joins the one before it. The BLAS
+matrix-vector product behind r^2 rounds the rows of a short trailing group
+differently, so with this alignment every score equals, bit for bit, the
+score of the whole grid in one product on one thread, whatever the number
+of BLAS threads.
 
 r^2 is Pearson by default; a regression-against-the-identity-line variant
 is available via method="identity" (it may be negative when the theoretical
@@ -52,6 +64,7 @@ __all__ = [
 DEFAULT_GRID_POINTS = 2000
 BRACKET_FACTOR = 4.0
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -100,6 +113,8 @@ class EstimationResult:
     table: tuple[ThresholdRow, ...]
     grid: tuple[tuple[float, float], ...]
     sample_size: int
+    bracket: Optional[tuple[float, float]] = None  # first, last candidate
+    at_grid_edge: bool = False  # the grid argmax was the first or last
 
     def __post_init__(self):
         object.__setattr__(self, "table", tuple(self.table))
@@ -184,7 +199,8 @@ def _tail_matrix(m_values: np.ndarray, thresholds: np.ndarray,
     """
     z = np.sqrt(m_values / (2.0 * t))[:, None] * thresholds[None, :]
     e = _erfc_core(z)
-    return e * e
+    e *= e
+    return e
 
 
 def _score_rows(pr: np.ndarray, rho: np.ndarray, method: str) -> np.ndarray:
@@ -205,6 +221,28 @@ def _score_rows(pr: np.ndarray, rho: np.ndarray, method: str) -> np.ndarray:
         return np.minimum(r2, 1.0)
     resid = pr - rho[None, :]
     return 1.0 - np.einsum("ij,ij->i", resid, resid) / ss_o
+
+
+def _block_rows(n_thresholds: int) -> int:
+    """Grid rows per scoring block: about _BLOCK_ELEMENTS, a multiple of 8."""
+    return max(8, (_BLOCK_ELEMENTS // n_thresholds) // 8 * 8)
+
+
+def _score_grid(candidates: np.ndarray, thresholds: np.ndarray,
+                rho: np.ndarray, t: float, method: str) -> np.ndarray:
+    """r^2 of every candidate, scored block by block (see module docstring)."""
+    n = candidates.size
+    step = _block_rows(thresholds.size)
+    scores = np.empty(n)
+    start = 0
+    while start < n:
+        stop = start + step
+        if n - stop < 8:  # fold a short trailing block into this one
+            stop = n
+        pr = _tail_matrix(candidates[start:stop], thresholds, t)
+        scores[start:stop] = _score_rows(pr, rho, method)
+        start = stop
+    return scores
 
 
 def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
@@ -247,7 +285,7 @@ def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
         hi = float(m_w.max()) * BRACKET_FACTOR
 
     candidates = np.geomspace(lo, hi, grid_spec.n)
-    scores = _score_rows(_tail_matrix(candidates, thresholds, t), rho, method)
+    scores = _score_grid(candidates, thresholds, rho, t, method)
 
     best = int(np.argmax(scores))  # first max = smallest m on a tie
 
@@ -287,7 +325,10 @@ def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
         for x, f, p in zip(thresholds, rho, pr_hat)
     )
     return EstimationResult(m_hat=m_hat, r2=best_r2, table=table,
-                            grid=tuple(trace), sample_size=n)
+                            grid=tuple(trace), sample_size=n,
+                            bracket=(float(candidates[0]),
+                                     float(candidates[-1])),
+                            at_grid_edge=best in (0, grid_spec.n - 1))
 
 
 def format_report(result: EstimationResult) -> str:

@@ -9,6 +9,14 @@ resulting relative error is ~|z|^2 * eps, i.e. below 1e-13 for |z| <= 28,
 far inside this module's 1e-12 budget), and the two exponentials of the
 large-argument branch are fused into one.
 
+The kernel evaluates Horner's scheme in place, in a few reused buffers. An
+input wholly inside the small-argument branch, as most blocks of a fit's
+tail matrix are, is evaluated without a gather or a scatter; otherwise each
+branch gathers its elements, and the large-argument branch evaluates only
+the rational that applies to each element. Every element goes through the
+same floating-point operations in the same order whichever path it takes,
+so the results do not depend on how an input is split into blocks.
+
 ``erfc_inv`` starts from the classic rational approximation of the normal
 quantile and polishes with three Halley iterations on ``erfc``, which is
 enough to reach double-precision round trips over the whole open domain
@@ -124,42 +132,75 @@ _TWO_OVER_SQRT_PI = 1.12837916709551257390
 
 
 def _polyval(coeffs, x):
-    # Horner, highest degree first; works for scalars and arrays alike.
-    acc = coeffs[0]
-    for c in coeffs[1:]:
-        acc = acc * x + c
+    # Horner, highest degree first, evaluated in place in one fresh buffer;
+    # the same operations in the same order as acc = acc * x + c.
+    acc = np.multiply(x, coeffs[0])
+    acc += coeffs[1]
+    for c in coeffs[2:]:
+        acc *= x
+        acc += c
     return acc
 
 
+def _erfc_small(x: np.ndarray) -> np.ndarray:
+    """erfc on |x| < 0.84375 (1-d or more), in three reused buffers."""
+    z = x * x
+    y = _polyval(_PP, z)
+    xy = _polyval(_QQ, z)
+    y /= xy
+    np.multiply(x, y, out=xy)
+    # Below 1/4 plain subtraction is exact enough; above it the
+    # half-based ordering avoids the cancellation in 1 - erf.
+    np.add(x, xy, out=z)
+    np.subtract(1.0, z, out=z)  # 1 - (x + x*y)
+    np.subtract(x, 0.5, out=y)
+    y += xy
+    np.subtract(0.5, y, out=y)  # 0.5 - (x*y + (x - 0.5))
+    np.copyto(z, y, where=x >= 0.25)
+    return z
+
+
 def _erfc_core(a: np.ndarray) -> np.ndarray:
-    """erfc on non-negative arguments, elementwise."""
+    """erfc on non-negative arguments, elementwise (see module docstring)."""
+    a = np.asarray(a)
+    if a.ndim == 0:
+        return _erfc_core(a.reshape(1)).reshape(())
+    if a.size and a.max() < 0.84375:
+        return _erfc_small(a)
     out = np.empty_like(a)
 
     small = a < 0.84375
     if small.any():
-        x = a[small]
-        z = x * x
-        y = _polyval(_PP, z) / _polyval(_QQ, z)
-        # Below 1/4 plain subtraction is exact enough; above it the
-        # half-based ordering avoids the cancellation in 1 - erf.
-        out[small] = np.where(x < 0.25, 1.0 - (x + x * y),
-                              0.5 - (x * y + (x - 0.5)))
+        out[small] = _erfc_small(a[small])
 
     mid = (a >= 0.84375) & (a < 1.25)
     if mid.any():
-        s = a[mid] - 1.0
-        out[mid] = (1.0 - _ERX) - _polyval(_PA, s) / _polyval(_QA, s)
+        s = a[mid]
+        s -= 1.0
+        y = _polyval(_PA, s)
+        y /= _polyval(_QA, s)
+        out[mid] = np.subtract(1.0 - _ERX, y, out=y)
 
     large = (a >= 1.25) & (a < 28.0)
     if large.any():
         x = a[large]
-        s = 1.0 / (x * x)
-        ratio = np.where(
-            x < (1.0 / 0.35),
-            _polyval(_RA, s) / _polyval(_SA, s),
-            _polyval(_RB, s) / _polyval(_SB, s),
-        )
-        out[large] = np.exp(-x * x - 0.5625 + ratio) / x
+        s = x * x
+        np.divide(1.0, s, out=s)
+        near = x < (1.0 / 0.35)
+        ratio = np.empty_like(x)
+        for sel, num, den in ((near, _RA, _SA), (~near, _RB, _SB)):
+            if sel.any():
+                ss = s[sel]
+                y = _polyval(num, ss)
+                y /= _polyval(den, ss)
+                ratio[sel] = y
+        e = np.negative(x, out=s)
+        e *= x
+        e -= 0.5625
+        e += ratio
+        np.exp(e, out=e)
+        e /= x
+        out[large] = e
 
     out[a >= 28.0] = 0.0  # underflows past the smallest double
     return out

@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import oscmarkets
 from oscmarkets.cli import CONFIG_ENV, main
 
 DATA = Path(__file__).parent / "data"
@@ -22,6 +26,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(argv, close_stdin=False, **env):
+    """Run the CLI in a fresh interpreter; return (code, stdout, stderr)."""
+    child_env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV}
+    child_env["PYTHONPATH"] = str(Path(oscmarkets.__file__).parents[1])
+    child_env.update(env)
+    proc = subprocess.run(
+        [sys.executable, "-c", "from oscmarkets.cli import run; run()",
+         *argv], env=child_env, capture_output=True, text=True, timeout=120,
+        preexec_fn=(lambda: os.close(0)) if close_stdin else None)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def grab(text, key):
@@ -134,6 +150,63 @@ class TestEstimatePipelines:
             assert code == 0
             renders.append(target.read_bytes())
         assert renders[0] == renders[1]
+
+
+class TestBlasThreads:
+    """Grid output does not depend on the BLAS thread count."""
+
+    @pytest.fixture(scope="class")
+    def sample(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("threads") / "s.csv"
+        assert main(["synth", "--m", "977.73", "--n", "1000", "--seed", "1",
+                     "--output", str(path)]) == 0
+        return str(path)
+
+    @pytest.mark.parametrize("points", [2000, 2001, 1003])
+    def test_grid_identical(self, capsys, sample, points):
+        argv = ["estimate", "--input", sample, "--grid", f"100:5000:{points}",
+                "--emit", "grid", "--format", "csv"]
+        outs = [run_process(argv, OPENBLAS_NUM_THREADS=str(threads))
+                for threads in (1, 2)]
+        assert outs[0][0] == 0, outs[0][2]
+        assert outs[0] == outs[1]
+        assert run(capsys, *argv) == outs[0]
+
+
+class TestGridEdgeWarning:
+    """A fit clipped at the grid edge says so on stderr; stdout is as ever."""
+
+    @pytest.fixture
+    def sample(self, tmp_path):
+        path = tmp_path / "s.csv"
+        assert main(["synth", "--m", "977.73", "--n", "100", "--seed", "1",
+                     "--output", str(path)]) == 0
+        return str(path)
+
+    def test_estimate_at_edge(self, capsys, sample):
+        code, out, err = run(capsys, "estimate", "--input", sample,
+                             "--grid", "10:100:50")
+        assert code == 0
+        assert grab(out, "m_hat") == "100.0000"
+        assert err == ("warning: m_hat 100.0000 at the edge of the search "
+                       "grid [10.0, 100.0]\n")
+
+    def test_estimate_interior(self, capsys, sample):
+        code, out, err = run(capsys, "estimate", "--input", sample,
+                             "--grid", "100:5000:500")
+        assert code == 0 and err == ""
+        assert float(grab(out, "m_hat")) == pytest.approx(977.73, rel=0.25)
+
+    def test_backtest_at_edge(self, capsys):
+        argv = ("backtest", "--input", str(QUIET), "--crash-week",
+                "2004-12-06")
+        want = run(capsys, *argv)
+        assert want[0] == 0 and want[2] == ""
+        code, out, err = run(capsys, *argv, "--grid", "10:100:50")
+        assert code == 0
+        assert grab(out, "m_hat") == "100.0000"
+        assert err.startswith("warning: m_hat 100.0000 at the edge")
+        assert err.count("\n") == 1
 
 
 class TestIngest:
@@ -338,6 +411,29 @@ class TestExitCodes:
         code, _, err = run(capsys, "estimate", "--input", str(flat))
         assert code == 2
         assert "degenerate" in err
+
+    def test_data_error_closed_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", None)
+        code, out, err = run(capsys, "estimate", "--stdin")
+        assert code == 2 and out == ""
+        assert err == "data error: cannot read standard input: it is closed\n"
+
+    def test_data_error_stdin_read_fails(self, capsys, monkeypatch):
+        class Broken(io.StringIO):
+            def read(self, *args):
+                raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr("sys.stdin", Broken())
+        code, out, err = run(capsys, "estimate", "--stdin")
+        assert code == 2 and out == ""
+        assert err.startswith("data error: cannot read standard input: ")
+        assert err.count("\n") == 1
+
+    def test_closed_stdin_process(self):
+        code, out, err = run_process(["estimate", "--stdin"],
+                                     close_stdin=True)
+        assert (code, out) == (2, "")
+        assert err == "data error: cannot read standard input: it is closed\n"
 
     def test_numeric_error(self, capsys):
         code, _, err = run(capsys, "synth", "--m", "0.1", "--n", "50")

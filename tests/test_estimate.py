@@ -2,12 +2,17 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oscmarkets.errors import DataError, DomainError
 from oscmarkets.estimate import (
+    _block_rows,
+    _score_grid,
+    _score_rows,
+    _tail_matrix,
     EstimationResult,
     GridSpec,
     ThresholdRow,
@@ -269,6 +274,73 @@ class TestFitMHat:
     def test_unknown_method(self):
         with pytest.raises(DataError, match="method"):
             fit_m_hat(ladder_series(700.0, 60), method="ols")
+
+
+class TestGridEdge:
+    """The fit records a grid argmax on the first or last candidate."""
+
+    @staticmethod
+    def sample():
+        return sample_displacements(SynthSpec(m=977.73, n=100, seed=1))
+
+    @pytest.mark.parametrize("lo, hi, m_hat", [(10.0, 100.0, 100.0),
+                                               (5000.0, 9000.0, 5000.0)])
+    def test_optimum_outside_grid(self, lo, hi, m_hat):
+        result = fit_m_hat(self.sample(), grid_spec=GridSpec(lo=lo, hi=hi,
+                                                             n=50))
+        assert result.at_grid_edge
+        assert result.bracket == (lo, hi)
+        assert result.m_hat == pytest.approx(m_hat, rel=1e-6)
+
+    def test_interior_optimum(self):
+        result = fit_m_hat(self.sample())
+        assert not result.at_grid_edge
+        lo, hi = result.bracket
+        assert (lo, hi) == (result.grid[0][0], result.grid[-1][0])
+        assert lo < result.m_hat < hi
+
+
+class TestBlockScoring:
+    """Grid rows scored in blocks equal one-shot scoring bit for bit."""
+
+    @pytest.mark.parametrize("n_thresholds", [1, 3, 100, 1000, 8193, 9000])
+    def test_block_rows(self, n_thresholds):
+        rows = _block_rows(n_thresholds)
+        assert rows >= 8 and rows % 8 == 0
+        assert rows * n_thresholds <= max(1 << 16, 8 * n_thresholds)
+
+    @pytest.mark.parametrize("n, n_thresholds, method", [
+        (2000, 3, "pearson"),
+        (2000, 100, "pearson"),
+        (2000, 100, "identity"),
+        (2000, 1000, "pearson"),
+        (2000, 9000, "pearson"),
+        (17, 9000, "pearson"),  # one trailing row folded into the block
+    ])
+    def test_equals_one_shot(self, n, n_thresholds, method):
+        rng = np.random.default_rng(n_thresholds)
+        thresholds = np.unique(np.abs(rng.standard_normal(n_thresholds)))
+        thresholds *= 0.03
+        assert thresholds.size == n_thresholds
+        rho = np.arange(n_thresholds, 0, -1) / (n_thresholds + 1.0)
+        # z spans every erfc branch, so blocks are all-small and mixed
+        candidates = np.geomspace(20.0, 2e5, n)
+        blocked = _score_grid(candidates, thresholds, rho, 1.0, method)
+        one_shot = _score_rows(_tail_matrix(candidates, thresholds, 1.0),
+                               rho, method)
+        assert np.array_equal(blocked.view(np.uint64),
+                              one_shot.view(np.uint64))
+
+    def test_fit_memory_bounded(self):
+        # one-shot scoring of the 2000 x 10^4 tail matrix peaked near 0.9 GB
+        sample = sample_displacements(SynthSpec(m=977.73, n=10_000, seed=2))
+        tracemalloc.start()
+        try:
+            fit_m_hat(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
 
 class TestResultSurface:

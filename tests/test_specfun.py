@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oscmarkets.errors import DomainError
-from oscmarkets.specfun import erfc, erfc_inv
+from oscmarkets.specfun import _erfc_core, erfc, erfc_inv
 
 DATA = Path(__file__).parent / "data"
 
@@ -80,6 +80,51 @@ class TestErfc:
             erfc(bad)
         with pytest.raises(DomainError):
             erfc(np.array([0.5, bad]))
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestErfcCore:
+    """The in-place kernel: the all-small fast path and the general path."""
+
+    def test_fast_path_matches_general_path(self):
+        rng = np.random.default_rng(5)
+        small = rng.uniform(0.0, 0.84375, 4000)
+        others = rng.uniform(0.84375, 30.0, 1000)
+        mixed = np.concatenate([small, others])
+        order = rng.permutation(mixed.size)
+        general = _erfc_core(mixed[order])
+        back = np.empty_like(general)
+        back[order] = general
+        assert np.array_equal(bits(_erfc_core(small)), bits(back[:4000]))
+        assert np.array_equal(bits(_erfc_core(others)), bits(back[4000:]))
+
+    @pytest.mark.parametrize("value", [0.0, 0.3, 0.9, 2.0, 5.0, 30.0])
+    def test_zero_dimensional(self, value):
+        got = _erfc_core(np.array(value))
+        assert got.shape == ()
+        assert got == _erfc_core(np.array([value]))[0]
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+    def test_empty(self, shape):
+        assert _erfc_core(np.empty(shape)).shape == shape
+
+    @pytest.mark.parametrize("hi", [0.8, 30.0])
+    def test_two_dimensional(self, hi):
+        a = np.random.default_rng(6).uniform(0.0, hi, (37, 53))
+        got = _erfc_core(a)
+        assert got.shape == a.shape
+        assert np.array_equal(bits(got), bits(_erfc_core(a.ravel())).reshape(
+            a.shape))
+
+    def test_input_left_unchanged(self):
+        a = np.linspace(0.0, 30.0, 1001)
+        before = a.copy()
+        _erfc_core(a)
+        _erfc_core(a[:20])  # a view, wholly in the small branch
+        assert np.array_equal(a, before)
 
 
 class TestErfcInv:
