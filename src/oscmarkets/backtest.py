@@ -13,7 +13,7 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass, field
-from typing import IO, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,8 +27,6 @@ __all__ = [
     "BacktestReport",
     "predict_extreme_points",
     "run_backtest",
-    "format_backtest",
-    "as_record",
 ]
 
 DAYS_PER_YEAR = 365.25
@@ -137,35 +135,3 @@ def run_backtest(series: PriceSeries, config: BacktestConfig,
         fit=fit,
     )
 
-
-def format_backtest(report: BacktestReport) -> str:
-    """Itemized human-readable block, one figure per line."""
-    lines = [
-        f"asset: {report.asset_id}",
-        f"m_hat: {report.m_hat:.4f}",
-        f"r2: {report.r2:.6f}",
-        f"prior_close: {report.prior_close:.4f}",
-        f"predicted_extreme_ratio: {report.predicted_extreme_ratio:.6f}",
-        f"predicted_extreme_points: {report.predicted_extreme_points:.2f}",
-        f"actual_points: {report.actual_points:.2f}",
-        f"actual_ratio: {report.actual_ratio:.6f}",
-        f"violated: {'yes' if report.violated else 'no'}",
-        f"years_from_train_to_crash: {report.years_from_train_to_crash:.1f}",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def as_record(report: BacktestReport) -> dict:
-    """JSON-ready dictionary form of a backtest report."""
-    return {
-        "asset_id": report.asset_id,
-        "m_hat": report.m_hat,
-        "r2": report.r2,
-        "prior_close": report.prior_close,
-        "predicted_extreme_ratio": report.predicted_extreme_ratio,
-        "predicted_extreme_points": report.predicted_extreme_points,
-        "actual_points": report.actual_points,
-        "actual_ratio": report.actual_ratio,
-        "violated": report.violated,
-        "years_from_train_to_crash": report.years_from_train_to_crash,
-    }

@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -35,6 +36,7 @@ from . import estimate as est
 from .errors import DataError, DomainError, OscMarketsError
 from .ingest import (
     _as_text,
+    _write,
     parse_displacements,
     parse_prices,
     to_displacements,
@@ -187,7 +189,7 @@ def _read_input(path: str) -> str:
 
 
 def _warn_grid_edge(fit: est.EstimationResult) -> None:
-    """One stderr line when the grid argmax was the first or last candidate."""
+    """One stderr line when m_hat is the first or last grid candidate."""
     if fit.at_grid_edge:
         lo, hi = fit.bracket
         print(f"warning: m_hat {fit.m_hat:.4f} at the edge of the search "
@@ -196,10 +198,6 @@ def _warn_grid_edge(fit: est.EstimationResult) -> None:
 
 def _asset_label(path: str) -> str:
     return "stdin" if path == "-" else Path(path).stem
-
-
-def _echo_line(pairs) -> str:
-    return "# config: " + " ".join(f"{k}={v}" for k, v in pairs)
 
 
 def _grid_label(spec: Optional[est.GridSpec]) -> str:
@@ -221,9 +219,43 @@ def _emit(ns, text: str) -> None:
                 f"cannot write output {ns.output}: {exc}") from None
 
 
-def _structured(config_pairs, payload_key, payload) -> str:
-    return json.dumps({"config": dict(config_pairs), payload_key: payload},
-                      indent=2) + "\n"
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _render(ns, pairs, key: str, record, text=None, table=None) -> str:
+    """A command's output in ns.format: the one place that knows formats.
+
+    `pairs` is the resolved configuration. `record`, `text` and `table`
+    are thunks, and only the one ns.format needs is called:
+
+    structured: {"config": {...}, key: record()} as indented JSON.
+    csv: the `# config:` line, then table(fh) writing the body or, with no
+        table, record() as one header row and one value row.
+    text: the `# config:` line, then one line per item of text(): a str
+        as it is, and (name, value) or (name, value, spec) as `name: value`
+        with the value formatted by spec. With no text, text is csv.
+    """
+    if ns.format == "structured":
+        return json.dumps({"config": dict(pairs), key: record()},
+                          indent=2) + "\n"
+    out = io.StringIO()
+    out.write("# config: " + " ".join(f"{k}={v}" for k, v in pairs) + "\n")
+    if ns.format == "text" and text is not None:
+        for item in text():
+            if not isinstance(item, str):
+                name, value, *spec = item
+                item = f"{name}: {format(value, *spec)}"
+            out.write(item + "\n")
+    elif table is not None:
+        table(out)
+    else:
+        rec = record()
+        out.write(",".join(rec) + "\n"
+                  + ",".join(map(_csv_cell, rec.values())) + "\n")
+    return out.getvalue()
 
 
 def _records(**columns):
@@ -233,8 +265,10 @@ def _records(**columns):
     return [dict(zip(columns, row)) for row in zip(*lists)]
 
 
-def _entry_records(d):
-    return _records(week_end=d.week_end, x_a=d.x_a, x_b=d.x_b, ratio=d.ratio)
+def _displacement_record(d) -> dict:
+    return {"asset_id": d.asset_id,
+            "entries": _records(week_end=d.week_end, x_a=d.x_a, x_b=d.x_b,
+                                ratio=d.ratio)}
 
 
 def _cmd_ingest(ns, file_cfg) -> str:
@@ -244,35 +278,24 @@ def _cmd_ingest(ns, file_cfg) -> str:
     pairs = [("command", "ingest"), ("input", ns.input),
              ("output", ns.output), ("format", ns.format),
              ("resample", ns.resample), ("emit", ns.emit), ("asset", asset)]
-    if ns.format == "structured":
-        if ns.emit == "prices":
-            payload = {"asset_id": series.asset_id, "unit": series.unit,
-                       "points": _records(date=series.week_end,
-                                          close=series.close)}
-        else:
-            d = to_displacements(series)
-            payload = {"asset_id": d.asset_id,
-                       "entries": _entry_records(d)}
-        return _structured(pairs, "series", payload)
-    if ns.format == "csv":
-        buf = io.StringIO()
-        if ns.emit == "prices":
-            write_prices(series, buf)
-        else:
-            write_displacements(to_displacements(series), buf)
-        return _echo_line(pairs) + "\n" + buf.getvalue()
-    d = to_displacements(series)
-    first, last = np.datetime_as_string(series.week_end[[0, -1]], unit="D")
-    lines = [
-        _echo_line(pairs),
-        f"asset: {series.asset_id}",
-        f"unit: {series.unit}",
-        f"points: {len(series)}",
-        f"first_week: {first}",
-        f"last_week: {last}",
-        f"displacements: {len(d)}",
-    ]
-    return "\n".join(lines) + "\n"
+
+    def text():
+        first, last = np.datetime_as_string(series.week_end[[0, -1]],
+                                            unit="D")
+        return [("asset", series.asset_id), ("unit", series.unit),
+                ("points", len(series)), ("first_week", first),
+                ("last_week", last),
+                ("displacements", len(to_displacements(series)))]
+
+    if ns.emit == "prices":
+        return _render(ns, pairs, "series", lambda: {
+            "asset_id": series.asset_id, "unit": series.unit,
+            "points": _records(date=series.week_end, close=series.close)},
+            text, lambda fh: write_prices(series, fh))
+    return _render(
+        ns, pairs, "series",
+        lambda: _displacement_record(to_displacements(series)), text,
+        lambda fh: write_displacements(to_displacements(series), fh))
 
 
 def _detect_displacement_input(text: str) -> bool:
@@ -308,8 +331,8 @@ def _cmd_estimate(ns, file_cfg) -> str:
         series = to_displacements(parse_prices(text, fmt=fmt, asset_id=asset))
     if ns.window is not None:
         series = window(series, ns.window[0], ns.window[1])
-    result = est.fit_m_hat(series, t=t, grid_spec=grid, method=ns.r2_method)
-    _warn_grid_edge(result)
+    fit = est.fit_m_hat(series, t=t, grid_spec=grid, method=ns.r2_method)
+    _warn_grid_edge(fit)
     window_label = (f"{ns.window[0]}:{ns.window[1]}" if ns.window is not None
                     else "all")
     pairs = [("command", "estimate"), ("input", source),
@@ -317,19 +340,35 @@ def _cmd_estimate(ns, file_cfg) -> str:
              ("t", repr(t)), ("window", window_label),
              ("grid", _grid_label(grid)), ("r2_method", ns.r2_method),
              ("resample", ns.resample), ("emit", ns.emit), ("asset", asset)]
-    if ns.format == "structured":
-        return _structured(pairs, "result", est.as_record(result))
-    if ns.format == "csv":
-        buf = io.StringIO()
+
+    def thresholds():
+        return np.array([(r.x, r.rho, r.pr) for r in fit.table]).T
+
+    def record():
+        (x, rho, pr), (m, r2) = thresholds(), np.array(fit.grid).T
+        return {"m_hat": fit.m_hat, "r2": fit.r2,
+                "sample_size": fit.sample_size,
+                "table": _records(X=x, rho=rho, pr=pr),
+                "grid": _records(m_candidate=m, r2=r2)}
+
+    def table(fh):
+        fh.write(f"# result: m_hat={fit.m_hat!r} r2={fit.r2!r} "
+                 f"sample_size={fit.sample_size}\n")
         if ns.emit == "grid":
-            est.write_grid_csv(result, buf)
+            _write(fh, ("m_candidate", "r2"), *np.array(fit.grid).T)
         else:
-            est.write_table_csv(result, buf)
-        head = _echo_line(pairs) + "\n" + (
-            f"# result: m_hat={result.m_hat!r} r2={result.r2!r} "
-            f"sample_size={result.sample_size}\n")
-        return head + buf.getvalue()
-    return _echo_line(pairs) + "\n" + est.format_report(result)
+            _write(fh, ("X", "rho", "pr"), *thresholds())
+
+    def text():
+        return [("m_hat", fit.m_hat, ".4f"), ("r2", fit.r2, ".6f"),
+                ("sample_size", fit.sample_size),
+                ("thresholds", len(fit.table)),
+                ("grid_evaluations", len(fit.grid)),
+                "", f"{'X':>12}  {'rho':>10}  {'pr':>12}",
+                *(f"{r.x:>12.6f}  {r.rho:>10.6f}  {r.pr:>12.6e}"
+                  for r in fit.table)]
+
+    return _render(ns, pairs, "result", record, text, table)
 
 
 def _cmd_synth(ns, file_cfg) -> str:
@@ -340,15 +379,11 @@ def _cmd_synth(ns, file_cfg) -> str:
     pairs = [("command", "synth"), ("output", ns.output),
              ("format", ns.format), ("m", repr(ns.m)), ("t", repr(t)),
              ("n", str(ns.n)), ("seed", str(seed))]
-    if ns.format == "structured":
-        payload = {"asset_id": series.asset_id,
-                   "entries": _entry_records(series)}
-        return _structured(pairs, "series", payload)
-    # text and csv agree here: the displacement table IS the artifact,
-    # which keeps `synth | estimate --stdin` composable either way
-    buf = io.StringIO()
-    write_displacements(series, buf)
-    return _echo_line(pairs) + "\n" + buf.getvalue()
+    # no text view: the displacement table IS the artifact, which keeps
+    # `synth | estimate --stdin` composable in text and csv alike
+    return _render(ns, pairs, "series",
+                   lambda: _displacement_record(series),
+                   table=lambda fh: write_displacements(series, fh))
 
 
 def _cmd_predict(ns, file_cfg) -> str:
@@ -365,25 +400,13 @@ def _cmd_predict(ns, file_cfg) -> str:
     pairs = [("command", "predict"), ("output", ns.output),
              ("format", ns.format), ("m_hat", repr(m_hat)), ("t", repr(t)),
              ("prior_close", repr(prior))]
-    if ns.format == "structured":
-        payload = {"m_hat": m_hat, "t": t, "prior_close": prior,
-                   "predicted_extreme_ratio": ratio,
-                   "predicted_extreme_points": points}
-        return _structured(pairs, "result", payload)
-    if ns.format == "csv":
-        return (_echo_line(pairs) + "\n"
-                + "m_hat,t,prior_close,predicted_extreme_ratio,"
-                  "predicted_extreme_points\n"
-                + f"{m_hat!r},{t!r},{prior!r},{ratio!r},{points!r}\n")
-    lines = [
-        _echo_line(pairs),
-        f"m_hat: {m_hat:.4f}",
-        f"t: {t:g}",
-        f"prior_close: {prior:.4f}",
-        f"predicted_extreme_ratio: {ratio:.6f}",
-        f"predicted_extreme_points: {points:.2f}",
-    ]
-    return "\n".join(lines) + "\n"
+    record = {"m_hat": m_hat, "t": t, "prior_close": prior,
+              "predicted_extreme_ratio": ratio,
+              "predicted_extreme_points": points}
+    specs = (".4f", "g", ".4f", ".6f", ".2f")
+    return _render(ns, pairs, "result", lambda: record,
+                   lambda: [(*item, spec)
+                            for item, spec in zip(record.items(), specs)])
 
 
 def _cmd_backtest(ns, file_cfg) -> str:
@@ -404,31 +427,30 @@ def _cmd_backtest(ns, file_cfg) -> str:
     series = parse_prices(_read_input(ns.input), fmt=fmt, asset_id=asset)
     config = bt.BacktestConfig(crash_week_end=crash, train_start_index=start,
                                train_count=count, t=t)
-    report = bt.run_backtest(series, config, grid_spec=grid)
-    _warn_grid_edge(report.fit)
+    r = bt.run_backtest(series, config, grid_spec=grid)
+    _warn_grid_edge(r.fit)
     pairs = [("command", "backtest"), ("input", ns.input),
              ("output", ns.output), ("format", ns.format),
              ("t", repr(t)), ("window", f"{start}:{count}"),
              ("grid", _grid_label(grid)),
              ("crash_week", crash.isoformat()),
              ("resample", ns.resample), ("asset", asset)]
-    if ns.format == "structured":
-        return _structured(pairs, "result", bt.as_record(report))
-    if ns.format == "csv":
-        rec = bt.as_record(report)
-        keys = list(rec)
-        vals = []
-        for k in keys:
-            v = rec[k]
-            if isinstance(v, bool):
-                vals.append("true" if v else "false")
-            elif isinstance(v, float):
-                vals.append(repr(v))
-            else:
-                vals.append(str(v))
-        return (_echo_line(pairs) + "\n" + ",".join(keys) + "\n"
-                + ",".join(vals) + "\n")
-    return _echo_line(pairs) + "\n" + bt.format_backtest(report)
+
+    def text():
+        return [("asset", r.asset_id), ("m_hat", r.m_hat, ".4f"),
+                ("r2", r.r2, ".6f"), ("prior_close", r.prior_close, ".4f"),
+                ("predicted_extreme_ratio", r.predicted_extreme_ratio, ".6f"),
+                ("predicted_extreme_points", r.predicted_extreme_points,
+                 ".2f"),
+                ("actual_points", r.actual_points, ".2f"),
+                ("actual_ratio", r.actual_ratio, ".6f"),
+                ("violated", "yes" if r.violated else "no"),
+                ("years_from_train_to_crash", r.years_from_train_to_crash,
+                 ".1f")]
+
+    return _render(ns, pairs, "result", lambda: {
+        f.name: getattr(r, f.name) for f in fields(r) if f.name != "fit"},
+        text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, needs_input=False)
     p.add_argument("--m", type=_positive_float, required=True)
     p.add_argument("--t", type=_positive_float, default=None)
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", type=_count_value, default=100)
     p.add_argument("--seed", type=_seed_value, default=None)
     p.set_defaults(handler=_cmd_synth)
 
@@ -530,3 +552,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -16,9 +16,9 @@ analytic per-week inversions m_w = 2t (erfc_inv(sqrt(rho))/|x_w|)^2 by a
 factor of 4 on each side, followed by one golden-section refinement around
 the best candidate (all refinement evaluations are kept in the trace).
 Ties resolve to the smallest candidate, so a fit is deterministic for
-fixed inputs. A fit records whether the grid argmax was the first or the
-last candidate (`at_grid_edge`), the sign that the optimum may lie outside
-the searched bracket.
+fixed inputs. A fit records whether the refined m_hat sits on the first or
+the last candidate, within 1e-6 relative (`at_grid_edge`), the sign that
+the optimum may lie outside the searched bracket.
 
 The grid is scored in blocks of rows holding about 2^16 tail-matrix
 elements each, so every temporary (about 512 KB) stays in a core's L2
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -55,10 +55,6 @@ __all__ = [
     "m_week",
     "r_squared",
     "fit_m_hat",
-    "format_report",
-    "write_grid_csv",
-    "write_table_csv",
-    "as_record",
 ]
 
 DEFAULT_GRID_POINTS = 2000
@@ -114,7 +110,7 @@ class EstimationResult:
     grid: tuple[tuple[float, float], ...]
     sample_size: int
     bracket: Optional[tuple[float, float]] = None  # first, last candidate
-    at_grid_edge: bool = False  # the grid argmax was the first or last
+    at_grid_edge: bool = False  # m_hat is the first or last candidate
 
     def __post_init__(self):
         object.__setattr__(self, "table", tuple(self.table))
@@ -151,7 +147,12 @@ def m_week(rho: float, x_w: float, t: float = 1.0) -> float:
         raise DomainError(f"rho must lie in (0, 1], got {rho}")
     if x_w == 0.0:
         raise DomainError("zero displacement cannot be inverted")
-    z = erfc_inv(math.sqrt(rho)) / abs(x_w)
+    return float(_invert(rho, x_w, t))
+
+
+def _invert(rho: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
+    """The tail law solved for m at (rho, |x|), elementwise."""
+    z = erfc_inv(np.sqrt(rho)) / np.abs(x)
     return 2.0 * t * z * z
 
 
@@ -173,21 +174,13 @@ def r_squared(predicted: Sequence[float], observed: Sequence[float],
         )
     if p.size < 3:
         raise DataError(f"need at least 3 points, got {p.size}")
-    oc = o - o.mean()
-    ss_o = float(oc @ oc)
-    if ss_o == 0.0:
+    if (o == o[0]).all():
         raise DataError("observed values are all identical")
-    if method == "pearson":
-        pc = p - p.mean()
-        ss_p = float(pc @ pc)
-        if ss_p == 0.0:
-            raise DataError("predicted values are all identical")
-        r = float(pc @ oc) / math.sqrt(ss_p * ss_o)
-        return min(r * r, 1.0)
-    if method == "identity":
-        resid = o - p
-        return 1.0 - float(resid @ resid) / ss_o
-    raise DataError(f"unknown r_squared method {method!r}")
+    if method not in ("pearson", "identity"):
+        raise DataError(f"unknown r_squared method {method!r}")
+    if method == "pearson" and (p == p[0]).all():
+        raise DataError("predicted values are all identical")
+    return float(_score_rows(p[None, :], o, method)[0])
 
 
 def _tail_matrix(m_values: np.ndarray, thresholds: np.ndarray,
@@ -279,8 +272,7 @@ def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
         lo, hi = grid_spec.lo, grid_spec.hi
     else:
         keep = rho < 1.0
-        z = erfc_inv(np.sqrt(rho[keep])) / thresholds[keep]
-        m_w = 2.0 * t * z * z
+        m_w = _invert(rho[keep], thresholds[keep], t)
         lo = float(m_w.min()) / BRACKET_FACTOR
         hi = float(m_w.max()) * BRACKET_FACTOR
 
@@ -324,47 +316,10 @@ def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
         ThresholdRow(x=float(x), rho=float(f), pr=float(p))
         for x, f, p in zip(thresholds, rho, pr_hat)
     )
+    bracket = (float(candidates[0]), float(candidates[-1]))
     return EstimationResult(m_hat=m_hat, r2=best_r2, table=table,
                             grid=tuple(trace), sample_size=n,
-                            bracket=(float(candidates[0]),
-                                     float(candidates[-1])),
-                            at_grid_edge=best in (0, grid_spec.n - 1))
+                            bracket=bracket,
+                            at_grid_edge=any(abs(m_hat - edge) <= 1e-6 * edge
+                                             for edge in bracket))
 
-
-def format_report(result: EstimationResult) -> str:
-    """Human-readable fit report with the threshold table."""
-    lines = [
-        f"m_hat: {result.m_hat:.4f}",
-        f"r2: {result.r2:.6f}",
-        f"sample_size: {result.sample_size}",
-        f"thresholds: {len(result.table)}",
-        f"grid_evaluations: {len(result.grid)}",
-        "",
-        f"{'X':>12}  {'rho':>10}  {'pr':>12}",
-    ]
-    for row in result.table:
-        lines.append(f"{row.x:>12.6f}  {row.rho:>10.6f}  {row.pr:>12.6e}")
-    return "\n".join(lines) + "\n"
-
-
-def write_grid_csv(result: EstimationResult, fh: IO[str]) -> None:
-    fh.write("m_candidate,r2\n")
-    for m, r in result.grid:
-        fh.write(f"{m!r},{r!r}\n")
-
-
-def write_table_csv(result: EstimationResult, fh: IO[str]) -> None:
-    fh.write("X,rho,pr\n")
-    for row in result.table:
-        fh.write(f"{row.x!r},{row.rho!r},{row.pr!r}\n")
-
-
-def as_record(result: EstimationResult) -> dict:
-    """JSON-ready dictionary form of a fit result."""
-    return {
-        "m_hat": result.m_hat,
-        "r2": result.r2,
-        "sample_size": result.sample_size,
-        "table": [{"X": r.x, "rho": r.rho, "pr": r.pr} for r in result.table],
-        "grid": [{"m_candidate": m, "r2": r} for m, r in result.grid],
-    }

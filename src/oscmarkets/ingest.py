@@ -293,11 +293,14 @@ def parse_displacements(source: TextSource,
                   ("week_end", "x_a", "x_b", "ratio"))
 
 
-def _write(fh: IO[str], header, week_end: np.ndarray, *floats) -> None:
+def _write(fh: IO[str], header, *columns: np.ndarray) -> None:
+    """The one CSV table writer: a header row, then one row per index of
+    the columns, dates written as ISO days and floats with repr."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(zip(np.datetime_as_string(week_end, unit="D").tolist(),
-                         *(map(repr, c.tolist()) for c in floats)))
+    writer.writerows(zip(*(
+        np.datetime_as_string(c, unit="D").tolist() if c.dtype.kind == "M"
+        else map(repr, c.tolist()) for c in columns)))
 
 
 def write_prices(series: PriceSeries, fh: IO[str]) -> None:

@@ -7,6 +7,7 @@ followed two years later by a crash week sized at 0.64x (quiet) or 1.10x
 """
 
 import datetime as dt
+import json
 import math
 from pathlib import Path
 
@@ -15,11 +16,10 @@ import pytest
 from oscmarkets.backtest import (
     BacktestConfig,
     BacktestReport,
-    as_record,
-    format_backtest,
     predict_extreme_points,
     run_backtest,
 )
+from oscmarkets.cli import main
 from oscmarkets.errors import DataError, DomainError
 from oscmarkets.ingest import parse_prices
 
@@ -29,6 +29,14 @@ CRASH_DATE = dt.date(2004, 12, 6)
 
 def load(name):
     return parse_prices((DATA / name).read_text(), asset_id=name)
+
+
+def cli_backtest(capsys, *argv):
+    """(exit code, stdout, stderr) of a backtest of the quiet fixture."""
+    code = main(["backtest", "--input", str(DATA / "backtest_quiet.csv"),
+                 "--crash-week", CRASH_DATE.isoformat(), *argv])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 class TestPredictExtremePoints:
@@ -111,12 +119,14 @@ class TestRunBacktest:
         report = run_backtest(series, config)
         assert report.prior_close == series.close[59]
 
-    def test_determinism(self):
+    def test_determinism(self, capsys):
         series = load("backtest_quiet.csv")
         a = run_backtest(series, self.CONFIG)
         b = run_backtest(series, self.CONFIG)
-        assert format_backtest(a) == format_backtest(b)
         assert a == b
+        for fmt in ("text", "csv", "structured"):
+            runs = [cli_backtest(capsys, "--format", fmt) for _ in range(2)]
+            assert runs[0][0] == 0 and runs[0] == runs[1]
 
 
 class TestReportSurface:
@@ -124,17 +134,22 @@ class TestReportSurface:
         return run_backtest(load("backtest_quiet.csv"),
                             BacktestConfig(crash_week_end=CRASH_DATE))
 
-    def test_text_format(self):
-        text = format_backtest(self.make_report())
-        lines = text.splitlines()
-        assert lines[0].startswith("asset: ")
-        assert any(line.startswith("violated: no") for line in lines)
-        assert any(line.startswith("predicted_extreme_points: ")
-                   for line in lines)
-
-    def test_record_round_trip_fields(self):
+    def test_text_format(self, capsys):
         report = self.make_report()
-        rec = as_record(report)
+        code, out, _ = cli_backtest(capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("# config: ")
+        assert lines[1] == "asset: backtest_quiet"
+        assert "violated: no" in lines
+        assert ("predicted_extreme_points: "
+                f"{report.predicted_extreme_points:.2f}") in lines
+
+    def test_record_round_trip_fields(self, capsys):
+        report = self.make_report()
+        code, out, _ = cli_backtest(capsys, "--format", "structured")
+        assert code == 0
+        rec = json.loads(out)["result"]
         assert rec["violated"] is False
         assert rec["m_hat"] == report.m_hat
         assert set(rec) == {

@@ -28,14 +28,15 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(argv, close_stdin=False, **env):
+def run_process(argv, close_stdin=False,
+                entry=("-c", "from oscmarkets.cli import run; run()"), **env):
     """Run the CLI in a fresh interpreter; return (code, stdout, stderr)."""
     child_env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV}
     child_env["PYTHONPATH"] = str(Path(oscmarkets.__file__).parents[1])
     child_env.update(env)
     proc = subprocess.run(
-        [sys.executable, "-c", "from oscmarkets.cli import run; run()",
-         *argv], env=child_env, capture_output=True, text=True, timeout=120,
+        [sys.executable, *entry, *argv], env=child_env, capture_output=True,
+        text=True, timeout=120,
         preexec_fn=(lambda: os.close(0)) if close_stdin else None)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -81,6 +82,13 @@ class TestPredict:
         code, _, err = run(capsys, "predict", "--m-hat", "977.73")
         assert code == 1
         assert "prior-close" in err
+
+    @pytest.mark.parametrize("module", ["oscmarkets", "oscmarkets.cli"])
+    def test_python_m(self, capsys, module):
+        argv = ["predict", "--m-hat", "977.73", "--prior-close", "1099.23"]
+        want = run(capsys, *argv)
+        assert want[0] == 0
+        assert run_process(argv, entry=("-m", module)) == want
 
 
 class TestEstimatePipelines:
@@ -190,6 +198,16 @@ class TestGridEdgeWarning:
         assert grab(out, "m_hat") == "100.0000"
         assert err == ("warning: m_hat 100.0000 at the edge of the search "
                        "grid [10.0, 100.0]\n")
+
+    def test_estimate_refined_inside_last_cell(self, capsys, tmp_path):
+        # the grid argmax is the last candidate, but m_hat is not clipped
+        path = tmp_path / "s4500.csv"
+        assert main(["synth", "--m", "4500", "--n", "200", "--seed", "1",
+                     "--output", str(path)]) == 0
+        code, out, err = run(capsys, "estimate", "--input", str(path),
+                             "--grid", "100:5000:7")
+        assert (code, err) == (0, "")
+        assert grab(out, "m_hat") == "4234.0577"
 
     def test_estimate_interior(self, capsys, sample):
         code, out, err = run(capsys, "estimate", "--input", sample,
@@ -383,6 +401,14 @@ class TestExitCodes:
     def test_usage_bad_flag_value(self, capsys):
         assert run(capsys, "estimate", "--input", str(QUIET),
                    "--t", "-1")[0] == 1
+
+    @pytest.mark.parametrize("n, message", [
+        ("0", "must be >= 1, got 0"), ("-5", "must be >= 1, got -5"),
+        ("abc", "not an integer: 'abc'")])
+    def test_usage_bad_synth_count(self, capsys, n, message):
+        code, out, err = run(capsys, "synth", "--m", "977.73", "--n", n)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: argument --n: {message}\n"
 
     def test_usage_bad_window(self, capsys):
         assert run(capsys, "estimate", "--input", str(QUIET),

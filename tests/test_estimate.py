@@ -1,6 +1,6 @@
 """Estimator: frequencies, per-week inversion, r^2, and the grid fit."""
 
-import io
+import json
 import math
 import tracemalloc
 
@@ -16,16 +16,13 @@ from oscmarkets.estimate import (
     EstimationResult,
     GridSpec,
     ThresholdRow,
-    as_record,
     fit_m_hat,
-    format_report,
     m_week,
     r_squared,
     relative_frequency,
-    write_grid_csv,
-    write_table_csv,
 )
-from oscmarkets.ingest import DisplacementSeries
+from oscmarkets.cli import main
+from oscmarkets.ingest import DisplacementSeries, write_displacements
 from oscmarkets.model import OscillatorParams, prob_at_least
 from oscmarkets.specfun import erfc_inv
 from oscmarkets.synth import SynthSpec, sample_displacements
@@ -39,6 +36,18 @@ def series_from_ratios(ratios):
     week_end = np.datetime64("2001-01-05") + 7 * np.arange(ratios.size)
     return DisplacementSeries("test", week_end, np.full(ratios.size, 100.0),
                               100.0 * (1.0 + ratios), ratios)
+
+
+def cli_estimate(capsys, path, *argv):
+    """stdout of `oscmarkets estimate --input path ...`, which must succeed."""
+    assert main(["estimate", "--input", str(path), *argv]) == 0
+    return capsys.readouterr().out
+
+
+def write_sample(path, series):
+    with open(path, "w", encoding="utf-8") as fh:
+        write_displacements(series, fh)
+    return path
 
 
 def ladder_series(m0, n, t=1.0):
@@ -151,10 +160,16 @@ class TestRSquared:
     def test_constant_observed(self):
         with pytest.raises(DataError, match="identical"):
             r_squared([1, 2, 3], [5, 5, 5])
+        # the mean of three 0.1s is not 0.1, so a centred sum of squares
+        # is not 0 either
+        with pytest.raises(DataError, match="identical"):
+            r_squared([1, 2, 3], [0.1, 0.1, 0.1])
 
     def test_constant_predicted(self):
         with pytest.raises(DataError, match="identical"):
             r_squared([5, 5, 5], [1, 2, 3])
+        with pytest.raises(DataError, match="identical"):
+            r_squared([0.1, 0.1, 0.1], [1, 2, 3])
 
     def test_unknown_method(self):
         with pytest.raises(DataError, match="method"):
@@ -213,16 +228,16 @@ class TestFitMHat:
         assert result.table[0].x > 0.0
         assert result.table[0].rho == pytest.approx(0.8)
 
-    def test_determinism_byte_for_byte(self):
+    def test_determinism_byte_for_byte(self, capsys, tmp_path):
         sample = sample_displacements(SynthSpec(m=977.73, n=80, seed=11))
+        path = write_sample(tmp_path / "s.csv", sample)
 
-        def render(res):
-            g, t = io.StringIO(), io.StringIO()
-            write_grid_csv(res, g)
-            write_table_csv(res, t)
-            return repr(res.m_hat), repr(res.r2), g.getvalue(), t.getvalue()
+        def render():
+            # the csv carries `# result: m_hat=<repr> r2=<repr>` too
+            return [cli_estimate(capsys, path, "--format", "csv",
+                                 "--emit", emit) for emit in ("grid", "table")]
 
-        assert render(fit_m_hat(sample)) == render(fit_m_hat(sample))
+        assert render() == render()
 
     def test_explicit_bounds_honored(self):
         sample = sample_displacements(SynthSpec(m=977.73, n=100, seed=42))
@@ -277,7 +292,7 @@ class TestFitMHat:
 
 
 class TestGridEdge:
-    """The fit records a grid argmax on the first or last candidate."""
+    """The fit records an m_hat on the first or last candidate."""
 
     @staticmethod
     def sample():
@@ -291,6 +306,15 @@ class TestGridEdge:
         assert result.at_grid_edge
         assert result.bracket == (lo, hi)
         assert result.m_hat == pytest.approx(m_hat, rel=1e-6)
+
+    def test_refined_inside_last_cell(self):
+        # the last candidate scores best, but the refinement moves m_hat
+        # well inside the last cell: log(5000 / m_hat) is about 0.166
+        sample = sample_displacements(SynthSpec(m=4500.0, n=200, seed=1))
+        result = fit_m_hat(sample, grid_spec=GridSpec(lo=100.0, hi=5000.0,
+                                                      n=7))
+        assert not result.at_grid_edge
+        assert 2605.0 < result.m_hat < 5000.0 / 1.1
 
     def test_interior_optimum(self):
         result = fit_m_hat(self.sample())
@@ -362,23 +386,27 @@ class TestResultSurface:
         # erfc(z)^2 underflows to 0.0 far in the tail: a legitimate value
         assert ThresholdRow(x=0.01, rho=0.5, pr=0.0).pr == 0.0
 
-    def test_serializations(self):
-        result = fit_m_hat(ladder_series(900.0, 30), grid_spec=GridSpec(n=50))
-        text = format_report(result)
-        assert text.startswith("m_hat: ")
-        assert "r2: " in text and "X" in text
+    def test_serializations(self, capsys, tmp_path):
+        sample = ladder_series(900.0, 30)
+        result = fit_m_hat(sample)
+        path = write_sample(tmp_path / "ladder.csv", sample)
 
-        g = io.StringIO()
-        write_grid_csv(result, g)
-        lines = g.getvalue().splitlines()
-        assert lines[0] == "m_candidate,r2"
-        assert len(lines) == len(result.grid) + 1
+        text = cli_estimate(capsys, path).splitlines()
+        assert text[0].startswith("# config: ")
+        assert text[1] == f"m_hat: {result.m_hat:.4f}"
+        assert f"r2: {result.r2:.6f}" in text and "X" in text[7]
 
-        t = io.StringIO()
-        write_table_csv(result, t)
-        assert t.getvalue().splitlines()[0] == "X,rho,pr"
+        lines = cli_estimate(capsys, path, "--format", "csv",
+                             "--emit", "grid").splitlines()
+        assert lines[2] == "m_candidate,r2"
+        assert len(lines) == len(result.grid) + 3
 
-        rec = as_record(result)
+        lines = cli_estimate(capsys, path, "--format", "csv").splitlines()
+        assert lines[2] == "X,rho,pr"
+        assert len(lines) == len(result.table) + 3
+
+        rec = json.loads(cli_estimate(capsys, path, "--format",
+                                      "structured"))["result"]
         assert rec["m_hat"] == result.m_hat
         assert len(rec["table"]) == len(result.table)
         assert rec["grid"][0]["m_candidate"] == result.grid[0][0]
