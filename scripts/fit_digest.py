@@ -3,9 +3,11 @@
 The fits are those of tests/test_acceptance.py criterion 5: m_true in
 {355.92, 977.73, 2513.76}, N in {100, 1000}, seeds 0-49, each
 sample_displacements(SynthSpec(m, n, seed)) followed by fit_m_hat with the
-default grid. The digest covers repr((m_hat, r2, table, grid)) of every fit
-in that order, so two source trees give the same digest exactly when all
-300 fits are bit-identical.
+default grid. The digest covers, for every fit in that order, the repr of
+m_hat, r2, each threshold row (x, rho, pr) and each trace pair (m, r2),
+all as Python floats. So two source trees give the same digest exactly when
+all 300 fits are bit-identical, whatever container holds the table and the
+trace.
 
 The digest depends on the numpy and BLAS build and on the CPU (the SIMD
 paths of exp and sqrt, the BLAS kernels), so it compares two commits on
@@ -39,7 +41,10 @@ def main() -> None:
                 sample = sample_displacements(SynthSpec(m=m_true, n=n,
                                                         seed=seed))
                 fit = fit_m_hat(sample)
-                key = (fit.m_hat, fit.r2, fit.table, fit.grid)
+                key = (float(fit.m_hat), float(fit.r2),
+                       [(float(r.x), float(r.rho), float(r.pr))
+                        for r in fit.table],
+                       [(float(m), float(r)) for m, r in fit.grid])
                 digest.update(repr(key).encode())
     print(digest.hexdigest())
 
