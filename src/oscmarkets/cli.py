@@ -117,11 +117,10 @@ def _grid_value(text: str) -> est.GridSpec:
         raise argparse.ArgumentTypeError(
             f"grid must be LO:HI:N, got {text!r}")
     try:
-        spec = est.GridSpec(lo=float(parts[0]), hi=float(parts[1]),
+        return est.GridSpec(lo=float(parts[0]), hi=float(parts[1]),
                             n=int(parts[2]))
     except (ValueError, DataError) as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from None
-    return spec
 
 
 def _date_value(text: str) -> dt.date:
@@ -191,7 +190,7 @@ def _read_input(path: str) -> str:
 def _warn_grid_edge(fit: est.EstimationResult) -> None:
     """One stderr line when m_hat is the first or last grid candidate."""
     if fit.at_grid_edge:
-        lo, hi = fit.bracket
+        lo, hi = fit.grid.m[[0, -1]].tolist()
         print(f"warning: m_hat {fit.m_hat:.4f} at the edge of the search "
               f"grid [{lo!r}, {hi!r}]", file=sys.stderr)
 
@@ -203,8 +202,6 @@ def _asset_label(path: str) -> str:
 def _grid_label(spec: Optional[est.GridSpec]) -> str:
     if spec is None:
         return f"auto:{est.DEFAULT_GRID_POINTS}"
-    if spec.lo is None:
-        return f"auto:{spec.n}"
     return f"{spec.lo!r}:{spec.hi!r}:{spec.n}"
 
 
@@ -341,32 +338,30 @@ def _cmd_estimate(ns, file_cfg) -> str:
              ("grid", _grid_label(grid)), ("r2_method", ns.r2_method),
              ("resample", ns.resample), ("emit", ns.emit), ("asset", asset)]
 
-    def thresholds():
-        return np.array([(r.x, r.rho, r.pr) for r in fit.table]).T
+    rows, trace = fit.table, fit.grid
 
     def record():
-        (x, rho, pr), (m, r2) = thresholds(), np.array(fit.grid).T
         return {"m_hat": fit.m_hat, "r2": fit.r2,
                 "sample_size": fit.sample_size,
-                "table": _records(X=x, rho=rho, pr=pr),
-                "grid": _records(m_candidate=m, r2=r2)}
+                "table": _records(X=rows.x, rho=rows.rho, pr=rows.pr),
+                "grid": _records(m_candidate=trace.m, r2=trace.r2)}
 
     def table(fh):
         fh.write(f"# result: m_hat={fit.m_hat!r} r2={fit.r2!r} "
                  f"sample_size={fit.sample_size}\n")
         if ns.emit == "grid":
-            _write(fh, ("m_candidate", "r2"), *np.array(fit.grid).T)
+            _write(fh, ("m_candidate", "r2"), trace.m, trace.r2)
         else:
-            _write(fh, ("X", "rho", "pr"), *thresholds())
+            _write(fh, ("X", "rho", "pr"), rows.x, rows.rho, rows.pr)
 
     def text():
         return [("m_hat", fit.m_hat, ".4f"), ("r2", fit.r2, ".6f"),
                 ("sample_size", fit.sample_size),
-                ("thresholds", len(fit.table)),
-                ("grid_evaluations", len(fit.grid)),
+                ("thresholds", len(rows)),
+                ("grid_evaluations", len(trace)),
                 "", f"{'X':>12}  {'rho':>10}  {'pr':>12}",
-                *(f"{r.x:>12.6f}  {r.rho:>10.6f}  {r.pr:>12.6e}"
-                  for r in fit.table)]
+                *(f"{x:>12.6f}  {rho:>10.6f}  {pr:>12.6e}"
+                  for x, rho, pr in rows.tolist())]
 
     return _render(ns, pairs, "result", record, text, table)
 

@@ -33,6 +33,11 @@ of BLAS threads.
 r^2 is Pearson by default; a regression-against-the-identity-line variant
 is available via method="identity" (it may be negative when the theoretical
 curve fits worse than a constant).
+
+A fit result holds read-only float64 record arrays: `table` with columns
+x, rho, pr (one row per threshold, ascending in x, pr at m_hat) and `grid`
+with columns m, r2 (every evaluated candidate, ascending in m; refinement
+stays strictly inside the bracket, so the first and last rows are its ends).
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from .ingest import DisplacementSeries
 from .specfun import _erfc_core, erfc_inv
 
 __all__ = [
-    "ThresholdRow",
     "GridSpec",
     "EstimationResult",
     "relative_frequency",
@@ -58,6 +62,7 @@ __all__ = [
 ]
 
 DEFAULT_GRID_POINTS = 2000
+MAX_GRID_POINTS = 10 ** 6
 BRACKET_FACTOR = 4.0
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BLOCK_ELEMENTS = 1 << 16
@@ -74,63 +79,59 @@ class GridSpec:
     def __post_init__(self):
         if (self.lo is None) != (self.hi is None):
             raise DataError("grid bounds must be given together or not at all")
-        if self.lo is not None:
-            if not (0.0 < self.lo < self.hi):
-                raise DataError(
-                    f"grid bounds must satisfy 0 < lo < hi, "
-                    f"got [{self.lo}, {self.hi}]"
-                )
-        if self.n < 2:
-            raise DataError(f"grid needs at least 2 candidates, got {self.n}")
+        if self.lo is not None and not 0.0 < self.lo < self.hi < math.inf:
+            raise DataError(
+                f"grid bounds must satisfy 0 < lo < hi < inf, "
+                f"got [{self.lo}, {self.hi}]"
+            )
+        if not 2 <= self.n <= MAX_GRID_POINTS:
+            raise DataError(f"grid needs 2 to {MAX_GRID_POINTS} candidates, "
+                            f"got {self.n}")
 
 
-@dataclass(frozen=True)
-class ThresholdRow:
-    """One threshold X with its empirical rho and theoretical pr."""
-
-    x: float
-    rho: float
-    pr: float
-
-    def __post_init__(self):
-        if self.x < 0.0:
-            raise DomainError(f"threshold must be >= 0, got {self.x}")
-        if not 0.0 <= self.rho <= 1.0:
-            raise DomainError(f"rho must lie in [0, 1], got {self.rho}")
-        # pr = erfc(z)^2 underflows to 0.0 for z beyond about 19.5
-        if not 0.0 <= self.pr <= 1.0:
-            raise DomainError(f"pr must lie in [0, 1], got {self.pr}")
+def _columns(**columns) -> np.recarray:
+    """A read-only record array of the named float64 columns."""
+    table = np.rec.fromarrays(list(columns.values()), names=list(columns))
+    table.flags.writeable = False
+    return table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimationResult:
     m_hat: float
     r2: float
-    table: tuple[ThresholdRow, ...]
-    grid: tuple[tuple[float, float], ...]
+    table: np.recarray  # x, rho, pr
+    grid: np.recarray  # m, r2
     sample_size: int
-    bracket: Optional[tuple[float, float]] = None  # first, last candidate
     at_grid_edge: bool = False  # m_hat is the first or last candidate
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(self.table))
-        object.__setattr__(self, "grid", tuple(self.grid))
         if not self.m_hat > 0.0:
             raise DomainError(f"m_hat must be > 0, got {self.m_hat}")
-        best = max(r for _, r in self.grid)
-        if self.r2 != best:
+        if self.r2 != self.grid.r2.max():
             raise DomainError("r2 must equal the best r2 in the grid trace")
-        xs = [row.x for row in self.table]
-        if xs != sorted(xs):
-            raise DomainError("threshold table must be sorted ascending by X")
+        x = self.table.x
+        if not ((x >= 0.0).all() and (x[1:] >= x[:-1]).all()):
+            raise DomainError("thresholds must be >= 0 and sorted ascending")
+        # pr = erfc(z)^2 underflows to 0.0 for z beyond about 19.5
+        for name in ("rho", "pr"):
+            column = self.table[name]
+            bad = column[~((column >= 0.0) & (column <= 1.0))]
+            if bad.size:
+                raise DomainError(f"{name} must lie in [0, 1], got {bad[0]}")
 
 
 def relative_frequency(sample: DisplacementSeries, x_min: float) -> float:
     """Fraction of sample weeks with |x| >= x_min (mean of 0/1 coding)."""
     if x_min < 0.0 or not math.isfinite(x_min):
         raise DomainError(f"threshold must be finite and >= 0, got {x_min}")
-    hits = np.count_nonzero(np.abs(sample.ratio) >= x_min)
-    return hits / len(sample)
+    return float(_frequencies(np.sort(np.abs(sample.ratio)), x_min))
+
+
+def _frequencies(abs_sorted: np.ndarray, thresholds) -> np.ndarray:
+    """Fraction of the sorted |x| >= each threshold: an integer count / n."""
+    n = abs_sorted.size
+    return (n - np.searchsorted(abs_sorted, thresholds, side="left")) / n
 
 
 def m_week(rho: float, x_w: float, t: float = 1.0) -> float:
@@ -244,9 +245,7 @@ def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
     """Fit the inertial coefficient by maximal r^2 over a log-spaced grid.
 
     Requires at least 10 sample weeks with at least 3 distinct nonzero
-    |x| values. Returns the full evaluation trace (grid plus refinement
-    points, sorted by candidate) alongside the threshold table evaluated
-    at the winning m_hat.
+    |x| values. The module docstring describes the result's columns.
     """
     if t <= 0.0 or not math.isfinite(t):
         raise DomainError(f"elapsed time t must be > 0, got {t}")
@@ -264,9 +263,7 @@ def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
             f"degenerate sample: need at least 3 distinct nonzero |x| "
             f"values, got {thresholds.size}"
         )
-    abs_sorted = np.sort(abs_x)
-    # integer count first so rho is bit-identical to relative_frequency
-    rho = (n - np.searchsorted(abs_sorted, thresholds, side="left")) / n
+    rho = _frequencies(np.sort(abs_x), thresholds)
 
     if grid_spec.lo is not None:
         lo, hi = grid_spec.lo, grid_spec.hi
@@ -281,45 +278,44 @@ def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
 
     best = int(np.argmax(scores))  # first max = smallest m on a tie
 
-    def evaluate(m: float) -> float:
-        row = _tail_matrix(np.array([m]), thresholds, t)
-        return float(_score_rows(row, rho, method)[0])
+    extra_m: list[float] = []
+    extra_r2: list[float] = []
+
+    def evaluate(log_m: float) -> float:  # traced r^2 at exp(log_m)
+        m = math.exp(log_m)
+        r2 = float(_score_grid(np.array([m]), thresholds, rho, t, method)[0])
+        extra_m.append(m)
+        extra_r2.append(r2)
+        return r2
 
     # one golden-section pass around the winning candidate, in log space
-    extra: list[tuple[float, float]] = []
     a = math.log(candidates[max(best - 1, 0)])
     b = math.log(candidates[min(best + 1, grid_spec.n - 1)])
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = evaluate(math.exp(c)), evaluate(math.exp(d))
-    extra.append((math.exp(c), fc))
-    extra.append((math.exp(d), fd))
+    fc, fd = evaluate(c), evaluate(d)
     while b - a > 1e-9:
         if fc >= fd:  # keep the left interval on ties: smaller m wins
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = evaluate(math.exp(c))
-            extra.append((math.exp(c), fc))
+            fc = evaluate(c)
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = evaluate(math.exp(d))
-            extra.append((math.exp(d), fd))
+            fd = evaluate(d)
 
-    trace = list(zip(candidates.tolist(), scores.tolist())) + extra
-    trace.sort(key=lambda pair: pair[0])
-    best_r2 = max(r for _, r in trace)
-    m_hat = min(m for m, r in trace if r == best_r2)
+    m_all = np.concatenate([candidates, extra_m])
+    order = np.argsort(m_all, kind="stable")
+    grid = _columns(m=m_all[order],
+                    r2=np.concatenate([scores, extra_r2])[order])
+    # the first maximum in m order: the smallest m on a tie
+    m_hat, best_r2 = grid[np.argmax(grid.r2)].tolist()
 
     pr_hat = _tail_matrix(np.array([m_hat]), thresholds, t)[0]
-    table = tuple(
-        ThresholdRow(x=float(x), rho=float(f), pr=float(p))
-        for x, f, p in zip(thresholds, rho, pr_hat)
-    )
-    bracket = (float(candidates[0]), float(candidates[-1]))
-    return EstimationResult(m_hat=m_hat, r2=best_r2, table=table,
-                            grid=tuple(trace), sample_size=n,
-                            bracket=bracket,
-                            at_grid_edge=any(abs(m_hat - edge) <= 1e-6 * edge
-                                             for edge in bracket))
+    edges = candidates[[0, -1]]
+    return EstimationResult(
+        m_hat=m_hat, r2=best_r2,
+        table=_columns(x=thresholds, rho=rho, pr=pr_hat),
+        grid=grid, sample_size=n,
+        at_grid_edge=bool((np.abs(m_hat - edges) <= 1e-6 * edges).any()))
 

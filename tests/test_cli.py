@@ -410,6 +410,23 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err == f"usage error: argument --n: {message}\n"
 
+    @pytest.mark.parametrize("grid, message", [
+        ("100:inf:50", "grid bounds must satisfy 0 < lo < hi < inf"),
+        ("100:5000:10000000000000", "grid needs 2 to 1000000 candidates")])
+    def test_usage_bad_grid(self, capsys, monkeypatch, tmp_path, grid,
+                            message):
+        # rejected both as a flag and as a config-file key
+        code, out, err = run(capsys, "estimate", "--input", str(QUIET),
+                             "--grid", grid)
+        assert (code, out) == (1, "")
+        assert message in err and err.count("\n") == 1
+        cfg = tmp_path / "osc.cfg"
+        cfg.write_text(f"grid = {grid}\n", encoding="utf-8")
+        monkeypatch.setenv(CONFIG_ENV, str(cfg))
+        code, out, err = run(capsys, "estimate", "--input", str(QUIET))
+        assert (code, out) == (1, "")
+        assert message in err and err.count("\n") == 1
+
     def test_usage_bad_window(self, capsys):
         assert run(capsys, "estimate", "--input", str(QUIET),
                    "--window", "ten")[0] == 1

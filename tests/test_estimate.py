@@ -6,16 +6,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oscmarkets.errors import DataError, DomainError
 from oscmarkets.estimate import (
     _block_rows,
+    _columns,
     _score_grid,
     _score_rows,
     _tail_matrix,
     EstimationResult,
     GridSpec,
-    ThresholdRow,
     fit_m_hat,
     m_week,
     r_squared,
@@ -185,8 +187,12 @@ class TestGridSpec:
                                            (None, 10.0, 100),
                                            (10.0, 5.0, 100),
                                            (0.0, 5.0, 100),
-                                           (1.0, 2.0, 1)])
+                                           (1.0, 2.0, 1),
+                                           (100.0, math.inf, 50),
+                                           (100.0, math.nan, 50),
+                                           (1.0, 2.0, 10 ** 13)])
     def test_invalid(self, lo, hi, n):
+        # n = 10^13 must raise before any grid is allocated
         with pytest.raises(DataError):
             GridSpec(lo=lo, hi=hi, n=n)
 
@@ -291,6 +297,29 @@ class TestFitMHat:
             fit_m_hat(ladder_series(700.0, 60), method="ols")
 
 
+class TestExactInvariance:
+    """A fit sees only the multiset of |x|, so it is bit-identical under
+    any reordering of the weeks and any sign flips."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_permutation_and_sign_flips(self, data):
+        n = data.draw(st.integers(10, 200))
+        m = data.draw(st.sampled_from((355.92, 977.73, 2513.76)))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        x = sample_displacements(SynthSpec(m=m, n=n, seed=seed)).ratio
+        order = data.draw(st.permutations(range(n)))
+        flips = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        y = np.where(flips, -x[order], x[order])
+        a = fit_m_hat(series_from_ratios(x))
+        b = fit_m_hat(series_from_ratios(y))
+        assert (a.m_hat, a.r2) == (b.m_hat, b.r2)
+        for name in ("x", "rho", "pr"):
+            assert np.array_equal(a.table[name], b.table[name])
+        for name in ("m", "r2"):
+            assert np.array_equal(a.grid[name], b.grid[name])
+
+
 class TestGridEdge:
     """The fit records an m_hat on the first or last candidate."""
 
@@ -304,7 +333,7 @@ class TestGridEdge:
         result = fit_m_hat(self.sample(), grid_spec=GridSpec(lo=lo, hi=hi,
                                                              n=50))
         assert result.at_grid_edge
-        assert result.bracket == (lo, hi)
+        assert (result.grid.m[0], result.grid.m[-1]) == (lo, hi)
         assert result.m_hat == pytest.approx(m_hat, rel=1e-6)
 
     def test_refined_inside_last_cell(self):
@@ -319,9 +348,11 @@ class TestGridEdge:
     def test_interior_optimum(self):
         result = fit_m_hat(self.sample())
         assert not result.at_grid_edge
-        lo, hi = result.bracket
+        lo, hi = result.grid.m[[0, -1]]
         assert (lo, hi) == (result.grid[0][0], result.grid[-1][0])
         assert lo < result.m_hat < hi
+        # the refinement stays strictly inside the bracket of candidates
+        assert lo < result.grid.m[1] and result.grid.m[-2] < hi
 
 
 class TestBlockScoring:
@@ -367,24 +398,44 @@ class TestBlockScoring:
         assert peak < 64 * 2 ** 20
 
 
+def result_with_table(x, rho, pr, r2=0.9):
+    """An EstimationResult over the given table columns and a 2-point grid."""
+    return EstimationResult(
+        m_hat=100.0, r2=r2,
+        table=_columns(x=np.array(x), rho=np.array(rho), pr=np.array(pr)),
+        grid=_columns(m=np.array([100.0, 200.0]), r2=np.array([0.9, 0.1])),
+        sample_size=10)
+
+
 class TestResultSurface:
     def test_result_invariant_enforced(self):
-        row = ThresholdRow(x=0.01, rho=0.5, pr=0.5)
         with pytest.raises(DomainError, match="best r2"):
-            EstimationResult(m_hat=100.0, r2=0.5, table=(row,),
-                             grid=((100.0, 0.9),), sample_size=10)
+            result_with_table([0.01], [0.5], [0.5], r2=0.5)
+        with pytest.raises(DomainError, match="sorted"):
+            result_with_table([0.02, 0.01], [0.5, 0.4], [0.5, 0.4])
 
     def test_threshold_row_validation(self):
-        with pytest.raises(DomainError):
-            ThresholdRow(x=-0.01, rho=0.5, pr=0.5)
-        with pytest.raises(DomainError):
-            ThresholdRow(x=0.01, rho=1.5, pr=0.5)
-        with pytest.raises(DomainError):
-            ThresholdRow(x=0.01, rho=0.5, pr=-0.1)
-        with pytest.raises(DomainError):
-            ThresholdRow(x=0.01, rho=0.5, pr=1.5)
+        # an out-of-range rho or pr sits in the last row, after a valid one
+        with pytest.raises(DomainError, match="threshold"):
+            result_with_table([-0.02, -0.01], [0.5, 0.5], [0.5, 0.5])
+        with pytest.raises(DomainError, match="rho"):
+            result_with_table([0.01, 0.02], [0.5, 1.5], [0.5, 0.5])
+        with pytest.raises(DomainError, match="pr"):
+            result_with_table([0.01, 0.02], [0.5, 0.5], [0.5, -0.1])
+        with pytest.raises(DomainError, match="pr"):
+            result_with_table([0.01, 0.02], [0.5, 0.5], [0.5, 1.5])
         # erfc(z)^2 underflows to 0.0 far in the tail: a legitimate value
-        assert ThresholdRow(x=0.01, rho=0.5, pr=0.0).pr == 0.0
+        result = result_with_table([0.01, 0.02], [0.5, 0.5], [0.5, 0.0])
+        assert result.table.pr[-1] == 0.0
+
+    def test_columns_read_only(self):
+        result = fit_m_hat(ladder_series(900.0, 30))
+        assert result.table.dtype.names == ("x", "rho", "pr")
+        assert result.grid.dtype.names == ("m", "r2")
+        for column in (result.table.x, result.table.pr, result.grid.r2):
+            assert column.dtype == np.float64
+            with pytest.raises(ValueError):
+                column[0] = 1.0
 
     def test_serializations(self, capsys, tmp_path):
         sample = ladder_series(900.0, 30)
