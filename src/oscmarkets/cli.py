@@ -7,6 +7,11 @@ its output: a `# config:` comment line for text and csv formats, a
 "config" member for structured (JSON) output. Runs contain no timestamps,
 so identical invocations over identical files are byte-identical.
 
+The config file is read, and each value checked, before the flags are
+parsed. Its values become the parser's defaults, so argparse alone applies
+the precedence, and a config-file error is reported before any flag error,
+`--help` included.
+
 Exit codes: 0 success, 1 usage or configuration error, 2 data/validation
 error, 3 numeric/domain failure.
 
@@ -50,8 +55,6 @@ from .synth import SynthSpec, sample_displacements
 __all__ = ["main", "run"]
 
 CONFIG_ENV = "OSC_MARKETS_CONFIG"
-_CONFIG_KEYS = ("t", "train_count", "grid", "seed", "crash_week",
-                "prior_close", "m_hat")
 
 
 class UsageError(OscMarketsError):
@@ -131,15 +134,15 @@ def _date_value(text: str) -> dt.date:
             f"dates are YYYY-MM-DD, got {text!r}") from None
 
 
-def _coerce(kind, text: str, key: str):
-    """Config-file variant of the argparse type functions."""
-    try:
-        return kind(text)
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"config key {key}: {exc}") from None
+# each config key and the type function of the flag it stands in for
+_CONFIG_TYPES = {"t": _positive_float, "train_count": _count_value,
+                 "grid": _grid_value, "seed": _seed_value,
+                 "crash_week": _date_value, "prior_close": _positive_float,
+                 "m_hat": _positive_float}
 
 
 def _load_config_file() -> dict:
+    """Typed values of the OSC_MARKETS_CONFIG file, each checked as read."""
     path = os.environ.get(CONFIG_ENV)
     if not path:
         return {}
@@ -157,19 +160,13 @@ def _load_config_file() -> dict:
         key, value = key.strip(), value.strip()
         if not sep or not key:
             raise UsageError(f"{path}:{lineno}: expected key=value")
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_TYPES:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = value
+        try:
+            values[key] = _CONFIG_TYPES[key](value)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"config key {key}: {exc}") from None
     return values
-
-
-def _layer(cli_value, file_cfg: dict, key: str, kind, default):
-    """Flag > config file > default."""
-    if cli_value is not None:
-        return cli_value
-    if key in file_cfg:
-        return _coerce(kind, file_cfg[key], key)
-    return default
 
 
 def _read_input(path: str) -> str:
@@ -268,7 +265,7 @@ def _displacement_record(d) -> dict:
                                 ratio=d.ratio)}
 
 
-def _cmd_ingest(ns, file_cfg) -> str:
+def _cmd_ingest(ns) -> str:
     fmt = "daily_csv" if ns.resample == "daily-to-weekly" else "weekly_csv"
     asset = ns.asset or _asset_label(ns.input)
     series = parse_prices(_read_input(ns.input), fmt=fmt, asset_id=asset)
@@ -311,14 +308,12 @@ def _detect_displacement_input(text: str) -> bool:
     raise DataError("no rows: input is empty")
 
 
-def _cmd_estimate(ns, file_cfg) -> str:
+def _cmd_estimate(ns) -> str:
     if ns.stdin and ns.input is not None:
         raise UsageError("give either --input or --stdin, not both")
     source = "-" if ns.stdin else ns.input
     if source is None:
         raise UsageError("estimate needs --input PATH or --stdin")
-    t = _layer(ns.t, file_cfg, "t", _positive_float, 1.0)
-    grid = _layer(ns.grid, file_cfg, "grid", _grid_value, None)
     text = _read_input(source)
     asset = _asset_label(source)
     if _detect_displacement_input(text):
@@ -328,14 +323,15 @@ def _cmd_estimate(ns, file_cfg) -> str:
         series = to_displacements(parse_prices(text, fmt=fmt, asset_id=asset))
     if ns.window is not None:
         series = window(series, ns.window[0], ns.window[1])
-    fit = est.fit_m_hat(series, t=t, grid_spec=grid, method=ns.r2_method)
+    fit = est.fit_m_hat(series, t=ns.t, grid_spec=ns.grid,
+                        method=ns.r2_method)
     _warn_grid_edge(fit)
     window_label = (f"{ns.window[0]}:{ns.window[1]}" if ns.window is not None
                     else "all")
     pairs = [("command", "estimate"), ("input", source),
              ("output", ns.output), ("format", ns.format),
-             ("t", repr(t)), ("window", window_label),
-             ("grid", _grid_label(grid)), ("r2_method", ns.r2_method),
+             ("t", repr(ns.t)), ("window", window_label),
+             ("grid", _grid_label(ns.grid)), ("r2_method", ns.r2_method),
              ("resample", ns.resample), ("emit", ns.emit), ("asset", asset)]
 
     rows, trace = fit.table, fit.grid
@@ -366,14 +362,12 @@ def _cmd_estimate(ns, file_cfg) -> str:
     return _render(ns, pairs, "result", record, text, table)
 
 
-def _cmd_synth(ns, file_cfg) -> str:
-    t = _layer(ns.t, file_cfg, "t", _positive_float, 1.0)
-    seed = _layer(ns.seed, file_cfg, "seed", _seed_value, 0)
-    spec = SynthSpec(m=ns.m, t=t, n=ns.n, seed=seed)
+def _cmd_synth(ns) -> str:
+    spec = SynthSpec(m=ns.m, t=ns.t, n=ns.n, seed=ns.seed)
     series = sample_displacements(spec)
     pairs = [("command", "synth"), ("output", ns.output),
-             ("format", ns.format), ("m", repr(ns.m)), ("t", repr(t)),
-             ("n", str(ns.n)), ("seed", str(seed))]
+             ("format", ns.format), ("m", repr(ns.m)), ("t", repr(ns.t)),
+             ("n", str(ns.n)), ("seed", str(ns.seed))]
     # no text view: the displacement table IS the artifact, which keeps
     # `synth | estimate --stdin` composable in text and csv alike
     return _render(ns, pairs, "series",
@@ -381,11 +375,8 @@ def _cmd_synth(ns, file_cfg) -> str:
                    table=lambda fh: write_displacements(series, fh))
 
 
-def _cmd_predict(ns, file_cfg) -> str:
-    m_hat = _layer(ns.m_hat, file_cfg, "m_hat", _positive_float, None)
-    prior = _layer(ns.prior_close, file_cfg, "prior_close",
-                   _positive_float, None)
-    t = _layer(ns.t, file_cfg, "t", _positive_float, 1.0)
+def _cmd_predict(ns) -> str:
+    m_hat, prior, t = ns.m_hat, ns.prior_close, ns.t
     if m_hat is None:
         raise UsageError("predict needs --m-hat (flag or config file)")
     if prior is None:
@@ -404,31 +395,25 @@ def _cmd_predict(ns, file_cfg) -> str:
                             for item, spec in zip(record.items(), specs)])
 
 
-def _cmd_backtest(ns, file_cfg) -> str:
+def _cmd_backtest(ns) -> str:
     if ns.input is None:
         raise UsageError("backtest needs --input PATH")
-    t = _layer(ns.t, file_cfg, "t", _positive_float, 1.0)
-    grid = _layer(ns.grid, file_cfg, "grid", _grid_value, None)
-    crash = _layer(ns.crash_week, file_cfg, "crash_week", _date_value, None)
-    if crash is None:
+    if ns.crash_week is None:
         raise UsageError("backtest needs --crash-week (flag or config file)")
-    if ns.window is not None:
-        start, count = ns.window
-    else:
-        start = 0
-        count = _layer(None, file_cfg, "train_count", _count_value, 100)
+    start, count = ns.window or (0, ns.train_count)
     fmt = "daily_csv" if ns.resample == "daily-to-weekly" else "weekly_csv"
     asset = ns.asset or _asset_label(ns.input)
     series = parse_prices(_read_input(ns.input), fmt=fmt, asset_id=asset)
-    config = bt.BacktestConfig(crash_week_end=crash, train_start_index=start,
-                               train_count=count, t=t)
-    r = bt.run_backtest(series, config, grid_spec=grid)
+    config = bt.BacktestConfig(crash_week_end=ns.crash_week,
+                               train_start_index=start, train_count=count,
+                               t=ns.t)
+    r = bt.run_backtest(series, config, grid_spec=ns.grid)
     _warn_grid_edge(r.fit)
     pairs = [("command", "backtest"), ("input", ns.input),
              ("output", ns.output), ("format", ns.format),
-             ("t", repr(t)), ("window", f"{start}:{count}"),
-             ("grid", _grid_label(grid)),
-             ("crash_week", crash.isoformat()),
+             ("t", repr(ns.t)), ("window", f"{start}:{count}"),
+             ("grid", _grid_label(ns.grid)),
+             ("crash_week", ns.crash_week.isoformat()),
              ("resample", ns.resample), ("asset", asset)]
 
     def text():
@@ -448,7 +433,9 @@ def _cmd_backtest(ns, file_cfg) -> str:
         text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict) -> argparse.ArgumentParser:
+    """The CLI parser; `config` (typed config-file values) supplies the
+    defaults of the flags it names, so flags > config file > defaults."""
     parser = _Parser(
         prog="oscmarkets",
         description="Oscillator model of weekly price displacements: "
@@ -478,9 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--stdin", action="store_true",
                    help="read displacements or prices from stdin")
-    p.add_argument("--t", type=_positive_float, default=None)
+    p.add_argument("--t", type=_positive_float, default=config.get("t", 1.0))
     p.add_argument("--window", type=_window_value, metavar="START:COUNT")
-    p.add_argument("--grid", type=_grid_value, metavar="LO:HI:N")
+    p.add_argument("--grid", type=_grid_value, metavar="LO:HI:N",
+                   default=config.get("grid"))
     p.add_argument("--r2-method", choices=("pearson", "identity"),
                    default="pearson")
     p.add_argument("--resample", choices=("none", "daily-to-weekly"),
@@ -492,47 +480,45 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="draw synthetic displacements")
     common(p, needs_input=False)
     p.add_argument("--m", type=_positive_float, required=True)
-    p.add_argument("--t", type=_positive_float, default=None)
+    p.add_argument("--t", type=_positive_float, default=config.get("t", 1.0))
     p.add_argument("--n", type=_count_value, default=100)
-    p.add_argument("--seed", type=_seed_value, default=None)
+    p.add_argument("--seed", type=_seed_value, default=config.get("seed", 0))
     p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("predict", help="extreme move in price points")
     common(p, needs_input=False)
-    p.add_argument("--m-hat", type=_positive_float, default=None)
-    p.add_argument("--prior-close", type=_positive_float, default=None)
-    p.add_argument("--t", type=_positive_float, default=None)
+    p.add_argument("--m-hat", type=_positive_float,
+                   default=config.get("m_hat"))
+    p.add_argument("--prior-close", type=_positive_float,
+                   default=config.get("prior_close"))
+    p.add_argument("--t", type=_positive_float, default=config.get("t", 1.0))
     p.set_defaults(handler=_cmd_predict)
 
     p = sub.add_parser("backtest", help="crash-week bound check")
     common(p)
     p.add_argument("--crash-week", type=_date_value, metavar="YYYY-MM-DD",
-                   default=None)
+                   default=config.get("crash_week"))
     p.add_argument("--window", type=_window_value, metavar="START:COUNT",
                    help="training window (default 0:100)")
-    p.add_argument("--t", type=_positive_float, default=None)
-    p.add_argument("--grid", type=_grid_value, metavar="LO:HI:N")
+    p.add_argument("--t", type=_positive_float, default=config.get("t", 1.0))
+    p.add_argument("--grid", type=_grid_value, metavar="LO:HI:N",
+                   default=config.get("grid"))
     p.add_argument("--resample", choices=("none", "daily-to-weekly"),
                    default="none")
     p.add_argument("--asset", help="asset label (default: input file stem)")
-    p.set_defaults(handler=_cmd_backtest)
+    p.set_defaults(handler=_cmd_backtest,
+                   train_count=config.get("train_count", 100))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        # the config file is read first: its errors come before flag errors
+        ns = build_parser(_load_config_file()).parse_args(argv)
+        _emit(ns, ns.handler(ns))
+        return 0
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        file_cfg = _load_config_file()
-        output = ns.handler(ns, file_cfg)
-        _emit(ns, output)
-        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

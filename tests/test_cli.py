@@ -346,6 +346,40 @@ class TestConfigFile:
         assert err == f"usage error: config key train_count: {message}" + (
             f": {value!r}\n" if value == "abc" else f", got {value}\n")
 
+    def test_every_key_checked_when_read(self, capsys, tmp_path,
+                                         monkeypatch):
+        # ingest takes no t, yet a bad t in the file is still an error
+        cfg = tmp_path / "osc.cfg"
+        cfg.write_text("t=abc\n")
+        monkeypatch.setenv(CONFIG_ENV, str(cfg))
+        code, out, err = run(capsys, "ingest", "--input", str(QUIET))
+        assert (code, out) == (1, "")
+        assert err == "usage error: config key t: not a number: 'abc'\n"
+
+    @pytest.mark.parametrize("flags", [("--t", "-1"), ("--help",)])
+    def test_config_error_before_flag_error(self, capsys, tmp_path,
+                                            monkeypatch, flags):
+        cfg = tmp_path / "osc.cfg"
+        cfg.write_text("seed=-3\n")
+        monkeypatch.setenv(CONFIG_ENV, str(cfg))
+        code, out, err = run(capsys, "synth", "--m", "977.73", *flags)
+        assert (code, out) == (1, "")
+        assert err == ("usage error: config key seed: seed must fit in 64 "
+                       "unsigned bits\n")
+
+    def test_file_supplies_every_default(self, capsys, tmp_path,
+                                         monkeypatch):
+        cfg = tmp_path / "osc.cfg"
+        cfg.write_text("t=2.0\ngrid=500:1500:50\ncrash_week=2004-12-06\n"
+                       "train_count=80\n")
+        monkeypatch.setenv(CONFIG_ENV, str(cfg))
+        code, out, err = run(capsys, "backtest", "--input", str(QUIET))
+        assert code == 0, err
+        assert out.splitlines()[0].startswith(
+            "# config: command=backtest input=" + str(QUIET)
+            + " output=- format=text t=2.0 window=0:80 grid=500.0:1500.0:50 "
+            "crash_week=2004-12-06")
+
     def test_missing_file_rejected(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(CONFIG_ENV, str(tmp_path / "absent.cfg"))
         code, _, err = run(capsys, "predict", "--m-hat", "1",
