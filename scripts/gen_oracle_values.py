@@ -51,11 +51,6 @@ def main() -> None:
         ("899.22/1099.23 - 1", mp.mpf("899.22") / mp.mpf("1099.23") - 1),
         # action m*x^2/(2t)
         ("977.73*0.05^2/2", mp.mpf("977.73") * mp.mpf("0.05") ** 2 / 2),
-        # normalization constants
-        ("1/sqrt(pi)", 1 / mp.sqrt(mp.pi)),
-        ("sqrt(977.73/(2*pi))", mp.sqrt(mp.mpf("977.73") / (2 * mp.pi))),
-        # phase-space density at phi=1
-        ("exp(-1)/sqrt(pi)", mp.exp(-1) / mp.sqrt(mp.pi)),
         # tail law at m=2, t=1, X=1
         ("erfc(1)^2", mp.erfc(1) ** 2),
         # extreme displacement ratios

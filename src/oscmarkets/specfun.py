@@ -223,39 +223,29 @@ def erfc(z):
     return res
 
 
-def erfc_inv(p, *, allow_infinite: bool = False):
+def erfc_inv(p):
     """Inverse of :func:`erfc` on the open interval (0, 2).
 
-    ``erfc_inv(1)`` is exactly 0.  With ``allow_infinite=True`` the closed
-    endpoints map to signed infinities instead of raising.
+    ``erfc_inv(1)`` is exactly 0.  Raises :class:`DomainError` outside
+    (0, 2), at the poles 0 and 2 and on non-finite input.
     """
     arr = np.asarray(p, dtype=np.float64)
-    if not np.isfinite(arr).all() or (arr < 0.0).any() or (arr > 2.0).any():
+    if not ((arr > 0.0) & (arr < 2.0)).all():
         raise DomainError("erfc_inv requires p in (0, 2)")
-    at_zero = arr == 0.0
-    at_two = arr == 2.0
-    if (at_zero.any() or at_two.any()) and not allow_infinite:
-        raise DomainError(
-            "erfc_inv(p) diverges at p in {0, 2}; pass allow_infinite=True "
-            "to receive signed infinities"
-        )
 
     pp = np.where(arr > 1.0, 2.0 - arr, arr)
-    pp_safe = np.where(pp > 0.0, pp, 0.5)  # placeholder at the poles
 
     # Rational first guess for the equivalent normal quantile, then Halley.
-    t = np.sqrt(-2.0 * np.log(pp_safe / 2.0))
+    t = np.sqrt(-2.0 * np.log(pp / 2.0))
     x = -0.70711 * (
         (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t
     )
     for _ in range(3):
-        err = _erfc_core(x) - pp_safe
+        err = _erfc_core(x) - pp
         x = x + err / (_TWO_OVER_SQRT_PI * np.exp(-x * x) - x * err)
 
     x = np.where(arr > 1.0, -x, x)
     x = np.where(arr == 1.0, 0.0, x)
-    x = np.where(at_zero, np.inf, x)
-    x = np.where(at_two, -np.inf, x)
     if arr.ndim == 0:
         return float(x)
     return x
