@@ -11,13 +11,12 @@ crashes automatically, and nothing predicts their timing.
 from __future__ import annotations
 
 import datetime as dt
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, positive
 from .estimate import EstimationResult, GridSpec, fit_m_hat
 from .ingest import PriceSeries, to_displacements, window
 from .model import OscillatorParams, extreme_displacement
@@ -52,8 +51,7 @@ class BacktestConfig:
             raise DataError(
                 f"train_count must be >= 1, got {self.train_count}"
             )
-        if not (math.isfinite(self.t) and self.t > 0.0):
-            raise DomainError(f"t must be finite and > 0, got {self.t}")
+        positive("t", self.t)
 
 
 @dataclass(frozen=True)
@@ -84,8 +82,7 @@ class BacktestReport:
 
 def predict_extreme_points(m_hat: float, t: float, prior_close: float) -> float:
     """Extreme weekly move in price points: pi sqrt(8t/m_hat) * prior_close."""
-    if not (math.isfinite(prior_close) and prior_close > 0.0):
-        raise DomainError(f"prior_close must be > 0, got {prior_close}")
+    prior_close = positive("prior_close", prior_close)
     params = OscillatorParams(m=m_hat, t=t)  # validates m_hat, t
     return extreme_displacement(params) * prior_close
 

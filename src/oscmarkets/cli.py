@@ -7,10 +7,9 @@ its output: a `# config:` comment line for text and csv formats, a
 "config" member for structured (JSON) output. Runs contain no timestamps,
 so identical invocations over identical files are byte-identical.
 
-The config file is read, and each value checked, before the flags are
-parsed. Its values become the parser's defaults, so argparse alone applies
-the precedence, and a config-file error is reported before any flag error,
-`--help` included.
+The config file is read and checked before the flags are parsed, and its
+values become the parser's defaults: argparse alone applies the precedence,
+and config-file errors come before flag errors, `--help` included.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data/validation
 error, 3 numeric/domain failure.
@@ -446,6 +445,8 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     def common(p, needs_input=True):
         if needs_input:
             p.add_argument("--input", help="input CSV path, or - for stdin")
+            p.add_argument("--resample", choices=("none", "daily-to-weekly"),
+                           default="none")
         p.add_argument("--output", default="-",
                        help="output path (default: stdout)")
         p.add_argument("--format", choices=("text", "csv", "structured"),
@@ -453,8 +454,6 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", parents=[], help="parse and resample prices")
     common(p)
-    p.add_argument("--resample", choices=("none", "daily-to-weekly"),
-                   default="none")
     p.add_argument("--emit", choices=("prices", "displacements"),
                    default="displacements",
                    help="csv/structured payload (default: displacements)")
@@ -471,8 +470,6 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
                    default=config.get("grid"))
     p.add_argument("--r2-method", choices=("pearson", "identity"),
                    default="pearson")
-    p.add_argument("--resample", choices=("none", "daily-to-weekly"),
-                   default="none")
     p.add_argument("--emit", choices=("table", "grid"), default="table",
                    help="csv payload (default: threshold table)")
     p.set_defaults(handler=_cmd_estimate)
@@ -503,8 +500,6 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--t", type=_positive_float, default=config.get("t", 1.0))
     p.add_argument("--grid", type=_grid_value, metavar="LO:HI:N",
                    default=config.get("grid"))
-    p.add_argument("--resample", choices=("none", "daily-to-weekly"),
-                   default="none")
     p.add_argument("--asset", help="asset label (default: input file stem)")
     p.set_defaults(handler=_cmd_backtest,
                    train_count=config.get("train_count", 100))

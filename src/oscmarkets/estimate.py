@@ -48,7 +48,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, positive
 from .ingest import DisplacementSeries
 from .specfun import _erfc_core, erfc_inv
 
@@ -137,17 +137,19 @@ def _frequencies(abs_sorted: np.ndarray, thresholds) -> np.ndarray:
 def m_week(rho: float, x_w: float, t: float = 1.0) -> float:
     """Per-week inversion of the tail law: m_w = 2t (erfc_inv(sqrt(rho))/|x_w|)^2.
 
-    rho = 0 would demand an infinite coefficient and is rejected, as is a
-    zero displacement (the inversion divides by |x_w|).
+    rho = 0 would demand an infinite coefficient and is rejected, as are a
+    zero displacement (the inversion divides by |x_w|) and a non-finite
+    one or t.
     """
-    if t <= 0.0:
-        raise DomainError(f"elapsed time t must be > 0, got {t}")
+    t = positive("t", t)
     if rho == 0.0:
         raise DomainError("rho = 0 implies an infinite inertial coefficient")
     if not 0.0 < rho <= 1.0:
         raise DomainError(f"rho must lie in (0, 1], got {rho}")
     if x_w == 0.0:
         raise DomainError("zero displacement cannot be inverted")
+    if not math.isfinite(x_w):
+        raise DomainError(f"x_w must be finite, got {x_w!r}")
     return float(_invert(rho, x_w, t))
 
 
@@ -247,8 +249,7 @@ def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
     Requires at least 10 sample weeks with at least 3 distinct nonzero
     |x| values. The module docstring describes the result's columns.
     """
-    if t <= 0.0 or not math.isfinite(t):
-        raise DomainError(f"elapsed time t must be > 0, got {t}")
+    t = positive("t", t)
     if method not in ("pearson", "identity"):
         raise DataError(f"unknown r_squared method {method!r}")
     if grid_spec is None:
@@ -272,6 +273,9 @@ def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
         m_w = _invert(rho[keep], thresholds[keep], t)
         lo = float(m_w.min()) / BRACKET_FACTOR
         hi = float(m_w.max()) * BRACKET_FACTOR
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(f"t={t!r} puts the auto-bracketed grid out of "
+                              f"range: [{lo!r}, {hi!r}]")
 
     candidates = np.geomspace(lo, hi, grid_spec.n)
     scores = _score_grid(candidates, thresholds, rho, t, method)

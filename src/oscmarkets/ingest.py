@@ -26,7 +26,7 @@ import datetime as dt
 import io
 import math
 from dataclasses import dataclass
-from typing import IO, Union
+from typing import IO, ClassVar, Union
 
 import numpy as np
 
@@ -42,8 +42,6 @@ __all__ = [
     "write_prices",
     "write_displacements",
 ]
-
-WEEK_UNIT = "1 trading week"
 
 TextSource = Union[str, bytes, IO]
 
@@ -101,7 +99,7 @@ class PriceSeries:
     asset_id: str
     week_end: np.ndarray
     close: np.ndarray
-    unit: str = WEEK_UNIT
+    unit: ClassVar[str] = "1 trading week"
 
     def __post_init__(self):
         week_end, close = _freeze(self, week_end=_DAY, close=np.float64)

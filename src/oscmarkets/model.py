@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, positive
 from .specfun import erfc
 
 __all__ = [
@@ -51,14 +51,8 @@ class OscillatorParams:
     t: float = 1.0
 
     def __post_init__(self):
-        m = _require_finite("m", self.m)
-        t = _require_finite("t", self.t)
-        if m <= 0.0:
-            raise DomainError(f"inertial coefficient m must be > 0, got {m}")
-        if t <= 0.0:
-            raise DomainError(f"elapsed time t must be > 0, got {t}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "m", positive("m", self.m))
+        object.__setattr__(self, "t", positive("t", self.t))
 
 
 def action(params: OscillatorParams, x: float) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, positive
 from .ingest import DisplacementSeries
 from .specfun import erfc_inv
 
@@ -44,10 +44,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.m) and self.m > 0.0):
-            raise DomainError(f"m must be finite and > 0, got {self.m}")
-        if not (math.isfinite(self.t) and self.t > 0.0):
-            raise DomainError(f"t must be finite and > 0, got {self.t}")
+        positive("m", self.m)
+        positive("t", self.t)
         if self.n < 1:
             raise DataError(f"sample count must be >= 1, got {self.n}")
         if not 0 <= self.seed < 2 ** 64:

@@ -461,6 +461,17 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert message in err and err.count("\n") == 1
 
+    def test_numeric_huge_time(self, capsys):
+        # a fresh process, so that a numpy RuntimeWarning would reach stderr
+        code, out, err = run_process(["estimate", "--input", str(QUIET),
+                                      "--t", "1e308"])
+        assert (code, out) == (3, "")
+        assert err == ("numeric error: t=1e+308 puts the auto-bracketed "
+                       "grid out of range: [inf, inf]\n")
+        code, out, err = run(capsys, "estimate", "--input", str(QUIET),
+                             "--t", "1e300")
+        assert (code, err) == (0, "") and "t=1e+300" in out
+
     def test_usage_bad_window(self, capsys):
         assert run(capsys, "estimate", "--input", str(QUIET),
                    "--window", "ten")[0] == 1

@@ -7,9 +7,10 @@ Reference values were computed offline with mpmath at 40 digits
 import csv
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oscmarkets.errors import DomainError
 from oscmarkets.specfun import _erfc_core, erfc, erfc_inv
@@ -165,3 +166,21 @@ def test_round_trip_property(z):
 @given(st.floats(min_value=-6.0, max_value=6.0))
 def test_reflection_property(z):
     assert abs(erfc(z) + erfc(-z) - 2.0) <= 1e-14
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=-6.0, max_value=26.0))
+def test_erfc_matches_mpmath(z):
+    # up to z = 26, erfc(z) is a normal double (about 6e-296)
+    with mpmath.workdps(30):
+        want = mpmath.erfc(mpmath.mpf(z))
+        assert abs(mpmath.mpf(erfc(z)) - want) <= 1e-12 * want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=1e-290, max_value=2.0, exclude_max=True))
+def test_erfc_inv_round_trip_mpmath(p):
+    # the oracle's erfc of the inverse recovers p (1.8e-13 worst measured)
+    with mpmath.workdps(30):
+        back = mpmath.erfc(mpmath.mpf(erfc_inv(p)))
+        assert abs(back - p) <= 1e-12 * p
