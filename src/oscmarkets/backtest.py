@@ -84,7 +84,8 @@ def predict_extreme_points(m_hat: float, t: float, prior_close: float) -> float:
     """Extreme weekly move in price points: pi sqrt(8t/m_hat) * prior_close."""
     prior_close = positive("prior_close", prior_close)
     params = OscillatorParams(m=m_hat, t=t)  # validates m_hat, t
-    return extreme_displacement(params) * prior_close
+    return positive("predicted_extreme_points",
+                    extreme_displacement(params) * prior_close)
 
 
 def run_backtest(series: PriceSeries, config: BacktestConfig,
@@ -113,7 +114,8 @@ def run_backtest(series: PriceSeries, config: BacktestConfig,
         float(c[crash_index]) for c in (displacements.x_a, displacements.x_b,
                                         displacements.ratio))
     ratio = extreme_displacement(OscillatorParams(m=fit.m_hat, t=config.t))
-    predicted_points = ratio * prior_close
+    predicted_points = positive("predicted_extreme_points",
+                                ratio * prior_close)
     actual_points = abs(close - prior_close)
     actual_ratio = abs(crash_ratio)
     elapsed = displacements.week_end[crash_index] - train.week_end[-1]

@@ -41,8 +41,8 @@ from .errors import DataError, DomainError, OscMarketsError
 from .ingest import (
     _as_text,
     _write,
-    parse_displacements,
     parse_prices,
+    parse_series,
     to_displacements,
     window,
     write_displacements,
@@ -150,7 +150,7 @@ def _load_config_file() -> dict:
             text = _as_text(fh)
     except (OSError, DataError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
-    values = {}
+    values, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -161,6 +161,10 @@ def _load_config_file() -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value")
         if key not in _CONFIG_TYPES:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise UsageError(f"{path}:{lineno}: config key {key!r} already "
+                             f"set on line {first_line[key]}")
+        first_line[key] = lineno
         try:
             values[key] = _CONFIG_TYPES[key](value)
         except argparse.ArgumentTypeError as exc:
@@ -265,9 +269,10 @@ def _displacement_record(d) -> dict:
 
 
 def _cmd_ingest(ns) -> str:
-    fmt = "daily_csv" if ns.resample == "daily-to-weekly" else "weekly_csv"
     asset = ns.asset or _asset_label(ns.input)
-    series = parse_prices(_read_input(ns.input), fmt=fmt, asset_id=asset)
+    series = parse_prices(_read_input(ns.input),
+                          resample=ns.resample == "daily-to-weekly",
+                          asset_id=asset)
     pairs = [("command", "ingest"), ("input", ns.input),
              ("output", ns.output), ("format", ns.format),
              ("resample", ns.resample), ("emit", ns.emit), ("asset", asset)]
@@ -291,35 +296,16 @@ def _cmd_ingest(ns) -> str:
         lambda fh: write_displacements(to_displacements(series), fh))
 
 
-def _detect_displacement_input(text: str) -> bool:
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        cells = {c.strip().lower() for c in line.split(",")}
-        if {"week_end", "x_a", "x_b", "ratio"} <= cells:
-            return True
-        if {"date", "close"} <= cells:
-            return False
-        raise DataError(
-            "unrecognized input header: expected date,close or "
-            "week_end,x_a,x_b,ratio")
-    raise DataError("no rows: input is empty")
-
-
 def _cmd_estimate(ns) -> str:
     if ns.stdin and ns.input is not None:
         raise UsageError("give either --input or --stdin, not both")
     source = "-" if ns.stdin else ns.input
     if source is None:
         raise UsageError("estimate needs --input PATH or --stdin")
-    text = _read_input(source)
     asset = _asset_label(source)
-    if _detect_displacement_input(text):
-        series = parse_displacements(text, asset_id=asset)
-    else:
-        fmt = "daily_csv" if ns.resample == "daily-to-weekly" else "weekly_csv"
-        series = to_displacements(parse_prices(text, fmt=fmt, asset_id=asset))
+    series = parse_series(_read_input(source),
+                          resample=ns.resample == "daily-to-weekly",
+                          asset_id=asset)
     if ns.window is not None:
         series = window(series, ns.window[0], ns.window[1])
     fit = est.fit_m_hat(series, t=ns.t, grid_spec=ns.grid,
@@ -400,9 +386,10 @@ def _cmd_backtest(ns) -> str:
     if ns.crash_week is None:
         raise UsageError("backtest needs --crash-week (flag or config file)")
     start, count = ns.window or (0, ns.train_count)
-    fmt = "daily_csv" if ns.resample == "daily-to-weekly" else "weekly_csv"
     asset = ns.asset or _asset_label(ns.input)
-    series = parse_prices(_read_input(ns.input), fmt=fmt, asset_id=asset)
+    series = parse_prices(_read_input(ns.input),
+                          resample=ns.resample == "daily-to-weekly",
+                          asset_id=asset)
     config = bt.BacktestConfig(crash_week_end=ns.crash_week,
                                train_start_index=start, train_count=count,
                                t=ns.t)

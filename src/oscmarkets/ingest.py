@@ -10,9 +10,13 @@ left off.
 A series is a set of numpy columns: `week_end` as datetime64[D] and the
 prices and ratios as float64. Each constructor validates its columns once,
 vectorized, then marks them read-only, so a series that exists is valid.
-Parsers read rows one at a time but hand whole columns to the
-constructor; a column check that fails names the input line of the first
-bad row.
+Parsers hand whole columns to the constructor; a column check that fails
+names the input line of the first bad row. Plain text (no quote or CR,
+no blank or comment line after the header, every row exactly as wide as
+the header, `YYYY-MM-DD` dates and finite numbers) is cut into whole
+columns at once. Anything else, and plain text that fails a check, is
+read cell by cell; that reading defines a valid cell, and the column
+pass must match it bit for bit.
 
 Series are serializable to CSV with headers `date,close` and
 `week_end,x_a,x_b,ratio`; floats are written with repr so a round trip
@@ -37,6 +41,7 @@ __all__ = [
     "DisplacementSeries",
     "parse_prices",
     "parse_displacements",
+    "parse_series",
     "to_displacements",
     "window",
     "write_prices",
@@ -46,6 +51,9 @@ __all__ = [
 TextSource = Union[str, bytes, IO]
 
 _DAY = "datetime64[D]"
+# characters of text read or cut into cells at a time, so that only one
+# chunk exists as a second copy or as str objects at once
+_CHUNK = 1 << 18
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
@@ -100,6 +108,7 @@ class PriceSeries:
     week_end: np.ndarray
     close: np.ndarray
     unit: ClassVar[str] = "1 trading week"
+    header: ClassVar[tuple[str, ...]] = ("date", "close")
 
     def __post_init__(self):
         week_end, close = _freeze(self, week_end=_DAY, close=np.float64)
@@ -129,6 +138,7 @@ class DisplacementSeries:
     x_a: np.ndarray
     x_b: np.ndarray
     ratio: np.ndarray
+    header: ClassVar[tuple[str, ...]] = ("week_end", "x_a", "x_b", "ratio")
 
     def __post_init__(self):
         week_end, x_a, x_b, ratio = _freeze(
@@ -168,6 +178,16 @@ def _as_text(source: TextSource) -> str:
     return source.removeprefix("\ufeff")
 
 
+def _lines(text: str):
+    """The lines of `text`, each with its newline, as io.StringIO(text)
+    yields them, but holding a copy of only _CHUNK characters at a time."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK) + 1 or len(text)
+        yield from io.StringIO(text[start:stop])
+        start = stop
+
+
 def _skip(row) -> bool:
     """Blank lines and `#` comment lines (config echoes) carry no data."""
     if not any(cell.strip() for cell in row):
@@ -175,33 +195,20 @@ def _skip(row) -> bool:
     return row[0].lstrip().startswith("#")
 
 
-def _read_rows(text: str, required: tuple[str, ...]):
-    """Yield (line_number, row_dict) for each non-blank CSV data row."""
-    reader = csv.reader(io.StringIO(text))
-    header = None
-    for row in reader:
-        if _skip(row):
-            continue
-        header = [cell.strip().lower() for cell in row]
-        break
-    if header is None:
-        raise DataError("no rows: input is empty")
-    idx = {}
-    for name in required:
-        if name not in header:
-            raise DataError(f"missing required column {name!r} in header")
-        idx[name] = header.index(name)
+def _read_rows(reader, width: int, idx: list[int]):
+    """Yield (line_number, stripped cells at idx) for each data row left
+    in `reader`, which has just read a header of `width` fields."""
     n_any = False
     for row in reader:
         if _skip(row):
             continue
-        if len(row) < len(header):
+        if len(row) < width:
             raise DataError(
-                f"line {reader.line_num}: expected {len(header)} fields, "
+                f"line {reader.line_num}: expected {width} fields, "
                 f"got {len(row)}"
             )
         n_any = True
-        yield reader.line_num, {k: row[i].strip() for k, i in idx.items()}
+        yield reader.line_num, [row[i].strip() for i in idx]
     if not n_any:
         raise DataError("no rows: header present but no data")
 
@@ -224,41 +231,142 @@ def _parse_float(lineno: int, name: str, text: str) -> float:
     return value
 
 
-def _parse(source: TextSource, cls, asset_id: str, names: tuple[str, ...]):
-    """Build a `cls` series from CSV columns `names` (a date, then floats),
-    naming the input line of a row that fails the column checks."""
+def _cell_columns(reader, width: int, idx: list[int], names):
+    """(line numbers, dates, float columns...) of the rows left in
+    `reader`, parsed cell by cell: the one definition of a valid cell."""
     lines, days = [], []
     floats = [[] for _ in names[1:]]
-    for lineno, cells in _read_rows(_as_text(source), names):
+    for lineno, (day, *cells) in _read_rows(reader, width, idx):
         lines.append(lineno)
-        days.append(_parse_day(lineno, cells[names[0]]))
-        for name, column in zip(names[1:], floats):
-            column.append(_parse_float(lineno, name, cells[name]))
+        days.append(_parse_day(lineno, day))
+        for name, column, cell in zip(names[1:], floats, cells):
+            column.append(_parse_float(lineno, name, cell))
+    return lines, np.array(days, dtype=_DAY), *floats
+
+
+# a date cell and the comma after it, each digit replaced by "0"
+_DATE_SHAPE = np.frombuffer(b"0000-00-00,", np.uint8)
+
+
+def _plain_chunk(chunk: str, width: int, idx: list[int]):
+    """The date and float columns of the lines of `chunk`, or None unless
+    every line is plain (see _plain_columns)."""
+    raw = np.frombuffer(chunk.encode(), np.uint8)
+    # commas per line, so that a short line and a long one cannot cancel
+    ends = np.append(np.flatnonzero(raw == ord("\n")), raw.size)
+    commas = np.searchsorted(np.flatnonzero(raw == ord(",")), ends)
+    if (np.diff(commas, prepend=0) != width - 1).any():
+        return None
+    n = ends.size
+    cells = chunk.replace("\n", ",").split(",")
+    columns = [cells[i::width] for i in idx]
+    del cells
+    date = np.frombuffer((",".join(columns[0]) + ",").encode(), np.uint8)
+    if date.size != n * _DATE_SHAPE.size:
+        return None
+    date = date.reshape(n, _DATE_SHAPE.size)
+    digit = (date >= ord("0")) & (date <= ord("9"))
+    if ((np.where(digit, ord("0"), date) != _DATE_SHAPE).any()
+            or (date[:, :4] == ord("0")).all(axis=1).any()):
+        return None
     try:
-        return cls(asset_id, np.array(days, dtype=_DAY), *floats)
+        columns[0] = np.array(columns[0], dtype=_DAY)
+        for k in range(1, len(columns)):
+            columns[k] = np.fromiter(map(float, columns[k]), np.float64, n)
+    except ValueError:
+        return None
+    if not all(np.isfinite(c).all() for c in columns[1:]):
+        return None
+    return columns
+
+
+def _plain_columns(text: str, header_line: int, width: int, idx: list[int]):
+    """The columns _cell_columns would return for the rows after line
+    `header_line` of `text`, cut whole; None unless every row is plain.
+
+    `text` holds no quote and no CR, so its rows are its lines and its
+    cells the text between commas. Plain rows have exactly `width` cells;
+    the cell at idx[0] is `YYYY-MM-DD` with a year after 0 (the one form
+    numpy and date.fromisoformat read alike) and the others read as
+    finite numbers through float(), as the per-cell path reads them.
+    """
+    start = 0
+    for _ in range(header_line):
+        start = text.find("\n", start) + 1
+        if not start:
+            return None
+    end = len(text) - text.endswith("\n")
+    chunks = []
+    while start < end:
+        stop = text.find("\n", start + _CHUNK, end)
+        stop = end if stop < 0 else stop
+        columns = _plain_chunk(text[start:stop], width, idx)
+        if columns is None:
+            return None
+        chunks.append(columns)
+        start = stop + 1
+    if not chunks:
+        return None
+    columns = [np.concatenate(c) for c in zip(*chunks)]
+    return range(header_line + 1, header_line + 1 + columns[0].size), *columns
+
+
+def _header(reader, classes):
+    """Read the header row from `reader`: the first of `classes` whose
+    `header` columns it names, its width, and the index of each column."""
+    header = next((row for row in reader if not _skip(row)), None)
+    if header is None:
+        raise DataError("no rows: input is empty")
+    header = [cell.strip().lower() for cell in header]
+    cls = next((c for c in classes if set(c.header) <= set(header)), None)
+    if cls is None:
+        if len(classes) > 1:
+            raise DataError("unrecognized input header: expected date,close "
+                            "or week_end,x_a,x_b,ratio")
+        missing = next(n for n in classes[0].header if n not in header)
+        raise DataError(f"missing required column {missing!r} in header")
+    return cls, len(header), [header.index(name) for name in cls.header]
+
+
+def _parse(source: TextSource, asset_id: str, *classes):
+    """Build a series of the first of `classes` that the header fits (its
+    columns are a date, then floats), naming the input line of a row that
+    fails the column checks."""
+    text = _as_text(source)
+    reader = csv.reader(_lines(text))
+    cls, width, idx = _header(reader, classes)
+    columns = None
+    if '"' not in text and "\r" not in text:
+        columns = _plain_columns(text, reader.line_num, width, idx)
+    if columns is None:
+        columns = _cell_columns(reader, width, idx, cls.header)
+    lines, *columns = columns
+    try:
+        return cls(asset_id, *columns)
     except _RowError as exc:
         raise DataError(f"line {lines[exc.row]}: {exc}") from None
 
 
-def parse_prices(source: TextSource, fmt: str = "weekly_csv",
+def _weekly(series: PriceSeries) -> PriceSeries:
+    """The last close of each ISO week (Monday to Sunday)."""
+    # 1970-01-01 is a Thursday, so (days + 3) // 7 numbers the
+    # Monday-to-Sunday weeks; with increasing dates these are ISO weeks
+    week = (series.week_end.astype(np.int64) + 3) // 7
+    keep = np.append(week[1:] != week[:-1], True)
+    return PriceSeries(series.asset_id, series.week_end[keep],
+                       series.close[keep])
+
+
+def parse_prices(source: TextSource, *, resample: bool = False,
                  asset_id: str = "asset") -> PriceSeries:
     """Parse `date,close` CSV into a weekly PriceSeries.
 
-    fmt is "weekly_csv" (rows are already weekly bars) or "daily_csv"
-    (rows are trading days, collapsed to the last close of each ISO week).
-    Rows must be in strictly increasing date order either way.
+    Rows are weekly bars, or with `resample` trading days, collapsed to
+    the last close of each ISO week. Rows must be in strictly increasing
+    date order either way.
     """
-    if fmt not in ("weekly_csv", "daily_csv"):
-        raise DataError(f"unknown price format {fmt!r}")
-    series = _parse(source, PriceSeries, asset_id, ("date", "close"))
-    if fmt == "daily_csv":
-        # 1970-01-01 is a Thursday, so (days + 3) // 7 numbers the
-        # Monday-to-Sunday weeks; with increasing dates these are ISO weeks
-        week = (series.week_end.astype(np.int64) + 3) // 7
-        keep = np.append(week[1:] != week[:-1], True)
-        series = PriceSeries(asset_id, series.week_end[keep],
-                             series.close[keep])
-    return series
+    series = _parse(source, asset_id, PriceSeries)
+    return _weekly(series) if resample else series
 
 
 def to_displacements(series: PriceSeries) -> DisplacementSeries:
@@ -287,8 +395,18 @@ def window(series: DisplacementSeries, start_index: int,
 def parse_displacements(source: TextSource,
                         asset_id: str = "asset") -> DisplacementSeries:
     """Parse `week_end,x_a,x_b,ratio` CSV into a DisplacementSeries."""
-    return _parse(source, DisplacementSeries, asset_id,
-                  ("week_end", "x_a", "x_b", "ratio"))
+    return _parse(source, asset_id, DisplacementSeries)
+
+
+def parse_series(source: TextSource, *, resample: bool = False,
+                 asset_id: str = "asset") -> DisplacementSeries:
+    """Displacements from CSV of either schema, chosen by its header:
+    `week_end,x_a,x_b,ratio` rows as they are, or `date,close` prices
+    (resampled as parse_prices does) through to_displacements."""
+    series = _parse(source, asset_id, DisplacementSeries, PriceSeries)
+    if isinstance(series, PriceSeries):
+        series = to_displacements(_weekly(series) if resample else series)
+    return series
 
 
 def _write(fh: IO[str], header, *columns: np.ndarray) -> None:
@@ -302,9 +420,9 @@ def _write(fh: IO[str], header, *columns: np.ndarray) -> None:
 
 
 def write_prices(series: PriceSeries, fh: IO[str]) -> None:
-    _write(fh, ["date", "close"], series.week_end, series.close)
+    _write(fh, PriceSeries.header, series.week_end, series.close)
 
 
 def write_displacements(series: DisplacementSeries, fh: IO[str]) -> None:
-    _write(fh, ["week_end", "x_a", "x_b", "ratio"], series.week_end,
-           series.x_a, series.x_b, series.ratio)
+    _write(fh, DisplacementSeries.header, series.week_end, series.x_a,
+           series.x_b, series.ratio)

@@ -84,5 +84,7 @@ def prob_at_least(params: OscillatorParams, x_min: float) -> float:
 
 
 def extreme_displacement(params: OscillatorParams) -> float:
-    """Extreme displacement ratio R = pi sqrt(8 t / m)."""
-    return math.pi * math.sqrt(8.0 * params.t / params.m)
+    """Extreme displacement ratio R = pi sqrt(8 t / m); DomainError when
+    t / m is so far out of range that R overflows or underflows."""
+    return positive("extreme displacement R",
+                    math.pi * math.sqrt(8.0 * params.t / params.m))

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -78,6 +79,33 @@ class TestPredict:
         assert float(lines[2].split(",")[-1]) == pytest.approx(312.37,
                                                                abs=0.05)
 
+    @staticmethod
+    def strict_json(text):
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+        return json.loads(text, parse_constant=reject)
+
+    def test_bound_is_finite_json(self, capsys):
+        code, out, _ = run(capsys, "predict", "--m-hat", "1e-300",
+                           "--prior-close", "100", "--format", "structured")
+        assert code == 0
+        assert self.strict_json(out)["result"]["predicted_extreme_ratio"] \
+            == pytest.approx(math.pi * math.sqrt(8e300), rel=1e-14)
+
+    @pytest.mark.parametrize("argv, name", [
+        (("--m-hat", "1e-320", "--prior-close", "100"),
+         "extreme displacement R"),
+        (("--m-hat", "1", "--t", "1e308", "--prior-close", "100"),
+         "extreme displacement R"),
+        (("--m-hat", "1e-300", "--prior-close", "1e300"),
+         "predicted_extreme_points")])
+    def test_overflowing_bound_is_numeric_error(self, capsys, argv, name):
+        code, out, err = run(capsys, "predict", *argv,
+                             "--format", "structured")
+        assert (code, out) == (3, "")
+        assert err == (f"numeric error: {name} must be finite and > 0, "
+                       "got inf\n")
+
     def test_missing_flags_usage_error(self, capsys):
         code, _, err = run(capsys, "predict", "--m-hat", "977.73")
         assert code == 1
@@ -113,6 +141,28 @@ class TestEstimatePipelines:
         assert code == 0, err
         m_hat = float(grab(out, "m_hat"))
         assert abs(m_hat / 977.73 - 1.0) <= 0.10
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "no rows: input is empty"),
+        ("# only a comment\n\n", "no rows: input is empty"),
+        ("date,price\n2001-01-05,100\n", "unrecognized input header: "
+         "expected date,close or week_end,x_a,x_b,ratio")])
+    def test_stdin_header_rejected(self, capsys, monkeypatch, text, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "estimate", "--stdin")
+        assert (code, out, err) == (2, "", f"data error: {message}\n")
+
+    def test_stdin_prices_match_file(self, capsys, monkeypatch):
+        # the header alone picks the schema: prices on stdin fit as
+        # they do from a file
+        want = run(capsys, "estimate", "--input", str(QUIET), "--window",
+                   "0:100", "--format", "csv")
+        monkeypatch.setattr("sys.stdin", io.StringIO(QUIET.read_text()))
+        got = run(capsys, "estimate", "--stdin", "--window", "0:100",
+                  "--format", "csv")
+        assert want[0] == got[0] == 0
+        assert got[1].replace("input=-", "input=" + str(QUIET)).replace(
+            "asset=stdin", "asset=" + QUIET.stem) == want[1]
 
     def test_stdin_and_input_conflict(self, capsys):
         code, _, err = run(capsys, "estimate", "--stdin", "--input",
@@ -324,6 +374,16 @@ class TestConfigFile:
         code, _, err = run(capsys, "predict", "--prior-close", "100")
         assert code == 1
         assert "warp_factor" in err
+
+    def test_repeated_key_rejected(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "osc.cfg"
+        cfg.write_text("m_hat=977.73\nprior_close=1099.23\n# refit\n"
+                       "m_hat = 500\n")
+        monkeypatch.setenv(CONFIG_ENV, str(cfg))
+        code, out, err = run(capsys, "predict")
+        assert (code, out) == (1, "")
+        assert err == (f"usage error: {cfg}:4: config key 'm_hat' already "
+                       "set on line 1\n")
 
     def test_bad_syntax_rejected(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "osc.cfg"

@@ -1,19 +1,23 @@
 """Ingestion: parsing, validation, resampling, windowing, round trips."""
 
+import csv
 import datetime as dt
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscmarkets import ingest
 from oscmarkets.errors import DataError
 from oscmarkets.ingest import (
     DisplacementSeries,
     PriceSeries,
     parse_displacements,
     parse_prices,
+    parse_series,
     to_displacements,
     window,
     write_displacements,
@@ -116,10 +120,6 @@ class TestParsePrices:
         with pytest.raises(DataError, match="not after"):
             parse_prices(text)
 
-    def test_unknown_format(self):
-        with pytest.raises(DataError, match="format"):
-            parse_prices(WEEKLY_MIN, fmt="hourly_csv")
-
     def test_one_point_rejected(self):
         with pytest.raises(DataError, match="at least 2"):
             parse_prices("date,close\n1980-06-20,100\n")
@@ -131,7 +131,7 @@ class TestDailyResampling:
                 "2001-01-01,10\n2001-01-02,11\n2001-01-03,12\n"
                 "2001-01-04,13\n2001-01-05,14\n"
                 "2001-01-08,20\n2001-01-09,21\n")
-        s = parse_prices(text, fmt="daily_csv")
+        s = parse_prices(text, resample=True)
         assert list(zip(s.week_end.tolist(), s.close.tolist())) == [
             (dt.date(2001, 1, 5), 14.0),
             (dt.date(2001, 1, 9), 21.0),
@@ -142,20 +142,20 @@ class TestDailyResampling:
         text = ("date,close\n"
                 "2001-01-02,11\n2001-01-04,13\n"
                 "2001-01-08,20\n2001-01-12,24\n")
-        s = parse_prices(text, fmt="daily_csv")
+        s = parse_prices(text, resample=True)
         assert s.week_end[0] == np.datetime64("2001-01-04")
         assert s.close[0] == 13.0
 
     def test_weekly_input_idempotent(self):
         text = weekly_csv([100.0, 101.5, 99.25, 103.0])
-        direct = parse_prices(text, fmt="weekly_csv")
-        through = parse_prices(text, fmt="daily_csv")
+        direct = parse_prices(text)
+        through = parse_prices(text, resample=True)
         assert_same_series(direct, through)
 
     def test_iso_week_boundary_sunday_monday(self):
         # Sunday 2001-01-07 is ISO week 1, Monday 2001-01-08 week 2
         text = "date,close\n2001-01-07,10\n2001-01-08,20\n"
-        s = parse_prices(text, fmt="daily_csv")
+        s = parse_prices(text, resample=True)
         assert len(s) == 2
 
     def test_iso_week_53_and_year_end(self):
@@ -164,7 +164,7 @@ class TestDailyResampling:
         text = ("date,close\n"
                 "2004-12-27,1\n2004-12-31,2\n2005-01-02,3\n2005-01-03,4\n"
                 "2008-12-28,5\n2008-12-29,6\n2009-01-02,7\n")
-        s = parse_prices(text, fmt="daily_csv")
+        s = parse_prices(text, resample=True)
         assert s.close.tolist() == [3.0, 4.0, 5.0, 7.0]
 
 
@@ -328,6 +328,161 @@ class TestResamplerMatchesIsoCalendar:
         closes = np.arange(1.0, len(dates) + 1.0)
         text = "date,close\n" + "".join(
             f"{d.isoformat()},{c!r}\n" for d, c in zip(dates, closes.tolist()))
-        s = parse_prices(text, fmt="daily_csv")
+        s = parse_prices(text, resample=True)
         assert s.week_end.tolist() == [dates[i] for i in keep]
         assert s.close.tolist() == closes[keep].tolist()
+
+
+def both_paths(text, *classes):
+    """The columns of `text` from the column pass (None where it declines)
+    and a thunk for those of the per-cell path, each called directly."""
+    reader = csv.reader(ingest._lines(text))
+    cls, width, idx = ingest._header(reader, classes or (PriceSeries,))
+    fast = ingest._plain_columns(text, reader.line_num, width, idx)
+    return fast, lambda: ingest._cell_columns(reader, width, idx, cls.header)
+
+
+def assert_same_columns(fast, slow):
+    """Line numbers equal, dates and floats bit for bit."""
+    assert fast is not None
+    assert list(fast[0]) == slow[0]
+    for got, want in zip(fast[1:], slow[1:]):
+        want = np.asarray(want, dtype=got.dtype)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def plain_csv(draw):
+    """Plain CSV text of either schema: comment and blank lines before
+    the header, header names in any case and order, extra columns, repr
+    floats, and a final newline or none."""
+    cls = draw(st.sampled_from((PriceSeries, DisplacementSeries)))
+    names = list(cls.header) + draw(st.lists(
+        st.sampled_from(("open", "volume", "note")), max_size=2))
+    names = draw(st.permutations(names))
+    days = np.datetime_as_string(draw(increasing_days(min_size=1)))
+    rows = [",".join(draw(st.sampled_from((str.upper, str.title, str)))(n)
+                     for n in names)]
+    for day in days.tolist():
+        cells = {n: repr(draw(FINITE)) for n in cls.header[1:]}
+        cells[cls.header[0]] = day
+        rows.append(",".join(cells.get(n, draw(st.sampled_from(
+            ("", "x", "1.5", " 7 ")))) for n in names))
+    head = draw(st.lists(st.sampled_from(("", "# config: m=1", "  # note",
+                                          ",,", "#,a,b")), max_size=3))
+    end = draw(st.sampled_from(("\n", "")))
+    return cls, "\n".join(head + rows) + end
+
+
+class TestColumnPass:
+    """The whole-column pass against the per-cell reference."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(plain_csv(), st.sampled_from((16, 64, ingest._CHUNK)))
+    def test_matches_per_cell_path(self, case, chunk):
+        cls, text = case
+        with mock.patch.object(ingest, "_CHUNK", chunk):
+            fast, slow = both_paths(text, cls)
+        assert_same_columns(fast, slow())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.text(st.sampled_from("ab,\n\r\"")), st.integers(1, 8))
+    def test_lines_split_as_stringio(self, text, chunk):
+        with mock.patch.object(ingest, "_CHUNK", chunk):
+            assert list(ingest._lines(text)) == list(io.StringIO(text))
+
+    def test_python_float_forms_taken_whole(self):
+        text = "date,close\n2001-01-05,1_000\n2001-01-12, 12 \n"
+        fast, slow = both_paths(text)
+        assert_same_columns(fast, slow())
+        assert fast[2].tolist() == [1000.0, 12.0]
+
+    @pytest.mark.parametrize("body", [
+        "2001-01-05,100\n\n2001-01-12,110\n",
+        "2001-01-05,100\n# echo\n2001-01-12,110\n",
+        "2001-01-05,100\n2001-01-12,110\n\n",
+        "20010105,100\n2001-01-12,110\n",
+        "2001-01-05,100\n2001-01-12,110,7\n",
+        " 2001-01-05,100\n2001-01-12,110\n",
+    ])
+    def test_declined_but_valid(self, body):
+        # forms the per-cell path reads but the column pass leaves to it
+        assert both_paths("date,close\n" + body)[0] is None
+        assert parse_prices("date,close\n" + body).close.tolist() == [
+            100.0, 110.0]
+
+    @pytest.mark.parametrize("text", [
+        'date,close\n2001-01-05,"100"\n2001-01-12,110\n',
+        "date,close\r\n2001-01-05,100\r\n2001-01-12,110\r\n",
+    ])
+    def test_quoted_and_crlf_read_per_cell(self, text):
+        with mock.patch.object(ingest, "_plain_columns") as plain:
+            assert parse_prices(text).close.tolist() == [100.0, 110.0]
+        plain.assert_not_called()
+
+    @pytest.mark.parametrize("body, message", [
+        ("0000-01-07,100\n2001-01-12,110\n", "line 3: bad date '0000-01-07'"),
+        ("2001-01-05,100\n2020-01,110\n", "line 4: bad date '2020-01'"),
+        ("2001-01-05,100\n2001-02-30,110\n",
+         "line 4: bad date '2001-02-30'"),
+        ("2001-01-05,100\nNaT,110\n", "line 4: bad date 'NaT'"),
+        ("2001-01-05,100\n2001-01-12\n", "line 4: expected 2 fields, got 1"),
+        # the cells of these two lines, run together, would read as two
+        # good rows: only a per-line count of commas tells them apart
+        ("2001-01-05\n7,2001-01-12,110\n", "line 3: expected 2 fields, got 1"),
+        ("2001-01-05,100\n2001-01-12,nan\n",
+         "line 4: non-finite close 'nan'"),
+        ("2001-01-05,inf\n2001-01-12,110\n",
+         "line 3: non-finite close 'inf'"),
+        ("2001-01-05,100\n2001-01-12,1e999\n",
+         "line 4: non-finite close '1e999'"),
+    ])
+    def test_rejected_with_per_cell_message(self, body, message):
+        text = "# echo\ndate,close\n" + body
+        assert both_paths(text)[0] is None
+        with pytest.raises(DataError) as exc:
+            parse_prices(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("cls, text, message", [
+        (PriceSeries, "2001-01-05,100\n2001-01-05,110\n",
+         "line 4: duplicate date 2001-01-05"),
+        (PriceSeries, "2001-01-05,100\n2001-01-12,-1\n",
+         "line 4: non-positive close -1.0"),
+        (DisplacementSeries, "2001-01-05,100,110,0.2\n",
+         "line 3: ratio 0.2 inconsistent with endpoints (100.0, 110.0) "
+         "implying 0.10000000000000009"),
+    ])
+    def test_row_error_names_input_line(self, cls, text, message):
+        text = "# echo\n" + ",".join(cls.header) + "\n" + text
+        assert both_paths(text, cls)[0] is not None
+        with pytest.raises(DataError) as exc:
+            ingest._parse(text, "asset", cls)
+        assert str(exc.value) == message
+
+
+class TestParseSeries:
+    def test_header_picks_schema(self):
+        prices = weekly_csv([100.0, 110.0, 99.0])
+        d = to_displacements(parse_prices(prices))
+        assert_same_series(parse_series(prices), d)
+        buf = io.StringIO()
+        write_displacements(d, buf)
+        assert_same_series(parse_series(buf.getvalue()), d)
+
+    def test_resample(self):
+        text = "date,close\n2001-01-01,10\n2001-01-05,14\n2001-01-08,20\n"
+        assert parse_series(text, resample=True).ratio.tolist() == [
+            20.0 / 14.0 - 1.0]
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "no rows: input is empty"),
+        ("date,price\n2001-01-05,100\n", "unrecognized input header"),
+        ("week_end,x_a,x_b\n2001-01-05,1,2\n",
+         "unrecognized input header")])
+    def test_rejected(self, text, message):
+        with pytest.raises(DataError, match=message):
+            parse_series(text)
