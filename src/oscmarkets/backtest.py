@@ -114,8 +114,7 @@ def run_backtest(series: PriceSeries, config: BacktestConfig,
         float(c[crash_index]) for c in (displacements.x_a, displacements.x_b,
                                         displacements.ratio))
     ratio = extreme_displacement(OscillatorParams(m=fit.m_hat, t=config.t))
-    predicted_points = positive("predicted_extreme_points",
-                                ratio * prior_close)
+    predicted_points = predict_extreme_points(fit.m_hat, config.t, prior_close)
     actual_points = abs(close - prior_close)
     actual_ratio = abs(crash_ratio)
     elapsed = displacements.week_end[crash_index] - train.week_end[-1]

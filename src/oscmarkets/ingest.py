@@ -251,7 +251,9 @@ _DATE_SHAPE = np.frombuffer(b"0000-00-00,", np.uint8)
 def _plain_chunk(chunk: str, width: int, idx: list[int]):
     """The date and float columns of the lines of `chunk`, or None unless
     every line is plain (see _plain_columns)."""
-    raw = np.frombuffer(chunk.encode(), np.uint8)
+    # surrogatepass: a lone surrogate (a stray byte read from stdin) is
+    # left for float() or the date check to reject, as the cell path does
+    raw = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)
     # commas per line, so that a short line and a long one cannot cancel
     ends = np.append(np.flatnonzero(raw == ord("\n")), raw.size)
     commas = np.searchsorted(np.flatnonzero(raw == ord(",")), ends)
@@ -259,9 +261,14 @@ def _plain_chunk(chunk: str, width: int, idx: list[int]):
         return None
     n = ends.size
     cells = chunk.replace("\n", ",").split(",")
+    # a `#` first cell makes a comment line, whatever column it is
+    if 0 not in idx and "#" in chunk and any(
+            c.lstrip().startswith("#") for c in cells[::width]):
+        return None
     columns = [cells[i::width] for i in idx]
     del cells
-    date = np.frombuffer((",".join(columns[0]) + ",").encode(), np.uint8)
+    date = np.frombuffer((",".join(columns[0]) + ",").encode(
+        "utf-8", "surrogatepass"), np.uint8)
     if date.size != n * _DATE_SHAPE.size:
         return None
     date = date.reshape(n, _DATE_SHAPE.size)
@@ -285,7 +292,8 @@ def _plain_columns(text: str, header_line: int, width: int, idx: list[int]):
     `header_line` of `text`, cut whole; None unless every row is plain.
 
     `text` holds no quote and no CR, so its rows are its lines and its
-    cells the text between commas. Plain rows have exactly `width` cells;
+    cells the text between commas. Plain rows have exactly `width` cells,
+    and no `#` leads the first (that row is a comment to _skip);
     the cell at idx[0] is `YYYY-MM-DD` with a year after 0 (the one form
     numpy and date.fromisoformat read alike) and the others read as
     finite numbers through float(), as the per-cell path reads them.
