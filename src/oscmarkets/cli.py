@@ -40,6 +40,7 @@ from . import estimate as est
 from .errors import DataError, DomainError, OscMarketsError
 from .ingest import (
     _as_text,
+    _iso_date,
     _write,
     parse_prices,
     parse_series,
@@ -127,7 +128,7 @@ def _grid_value(text: str) -> est.GridSpec:
 
 def _date_value(text: str) -> dt.date:
     try:
-        return dt.date.fromisoformat(text)
+        return _iso_date(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"dates are YYYY-MM-DD, got {text!r}") from None

@@ -183,7 +183,7 @@ def r_squared(predicted: Sequence[float], observed: Sequence[float],
         raise DataError(f"unknown r_squared method {method!r}")
     if method == "pearson" and (p == p[0]).all():
         raise DataError("predicted values are all identical")
-    return float(_score_rows(p[None, :], o, method)[0])
+    return float(_score_rows(p[None, :], o, method)[0][0])
 
 
 def _tail_matrix(m_values: np.ndarray, thresholds: np.ndarray,
@@ -199,24 +199,26 @@ def _tail_matrix(m_values: np.ndarray, thresholds: np.ndarray,
     return e
 
 
-def _score_rows(pr: np.ndarray, rho: np.ndarray, method: str) -> np.ndarray:
-    """Per-row r^2 of theoretical curves against the empirical curve.
+def _score_rows(pr: np.ndarray, rho: np.ndarray, method: str):
+    """Per-row r^2 of theoretical curves against the empirical curve, and
+    whether any row's curve is not flat.
 
     Rows whose curve is flat at float resolution (candidate m far outside
-    the data's scale) score 0 rather than raising: they are legitimate
-    grid members, just hopeless ones.
+    the data's scale) score 0 under pearson rather than raising: they are
+    legitimate grid members, just hopeless ones.
     """
     oc = rho - rho.mean()
     ss_o = float(oc @ oc)
     pc = pr - pr.mean(axis=1, keepdims=True)
     ss_p = np.einsum("ij,ij->i", pc, pc)
+    curved = bool((ss_p > 0.0).any())
     if method == "pearson":
         num = pc @ oc
         with np.errstate(invalid="ignore", divide="ignore"):
             r2 = np.where(ss_p > 0.0, (num * num) / (ss_p * ss_o), 0.0)
-        return np.minimum(r2, 1.0)
+        return np.minimum(r2, 1.0), curved
     resid = pr - rho[None, :]
-    return 1.0 - np.einsum("ij,ij->i", resid, resid) / ss_o
+    return 1.0 - np.einsum("ij,ij->i", resid, resid) / ss_o, curved
 
 
 def _block_rows(n_thresholds: int) -> int:
@@ -225,20 +227,23 @@ def _block_rows(n_thresholds: int) -> int:
 
 
 def _score_grid(candidates: np.ndarray, thresholds: np.ndarray,
-                rho: np.ndarray, t: float, method: str) -> np.ndarray:
-    """r^2 of every candidate, scored block by block (see module docstring)."""
+                rho: np.ndarray, t: float, method: str):
+    """r^2 of every candidate, scored block by block (see module
+    docstring), and whether any candidate's curve is not flat."""
     n = candidates.size
     step = _block_rows(thresholds.size)
     scores = np.empty(n)
+    curved = False
     start = 0
     while start < n:
         stop = start + step
         if n - stop < 8:  # fold a short trailing block into this one
             stop = n
         pr = _tail_matrix(candidates[start:stop], thresholds, t)
-        scores[start:stop] = _score_rows(pr, rho, method)
+        scores[start:stop], block_curved = _score_rows(pr, rho, method)
+        curved |= block_curved
         start = stop
-    return scores
+    return scores, curved
 
 
 def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
@@ -278,7 +283,7 @@ def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
                               f"range: [{lo!r}, {hi!r}]")
 
     candidates = np.geomspace(lo, hi, grid_spec.n)
-    scores = _score_grid(candidates, thresholds, rho, t, method)
+    scores, curved = _score_grid(candidates, thresholds, rho, t, method)
 
     best = int(np.argmax(scores))  # first max = smallest m on a tie
 
@@ -286,8 +291,12 @@ def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
     extra_r2: list[float] = []
 
     def evaluate(log_m: float) -> float:  # traced r^2 at exp(log_m)
+        nonlocal curved
         m = math.exp(log_m)
-        r2 = float(_score_grid(np.array([m]), thresholds, rho, t, method)[0])
+        score, m_curved = _score_grid(np.array([m]), thresholds, rho, t,
+                                      method)
+        r2 = float(score[0])
+        curved |= m_curved
         extra_m.append(m)
         extra_r2.append(r2)
         return r2
@@ -307,6 +316,8 @@ def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = evaluate(d)
+    if not curved:
+        raise DomainError("no grid candidate fits the sample")
 
     m_all = np.concatenate([candidates, extra_m])
     order = np.argsort(m_all, kind="stable")

@@ -16,11 +16,18 @@ no blank or comment line after the header, every row exactly as wide as
 the header, `YYYY-MM-DD` dates and finite numbers) is cut into whole
 columns at once. Anything else, and plain text that fails a check, is
 read cell by cell; that reading defines a valid cell, and the column
-pass must match it bit for bit.
+pass must match it bit for bit. A date is `YYYY-MM-DD` on every Python
+version.
 
-Series are serializable to CSV with headers `date,close` and
-`week_end,x_a,x_b,ratio`; floats are written with repr so a round trip
-through text is exact.
+Series are written as CSV with headers `date,close` and
+`week_end,x_a,x_b,ratio`, dates as ISO days and floats with repr, so a
+round trip through text is exact. `_write`, the one table writer (the
+CLI's csv tables go through it too), turns each column into cell text
+once and joins cells with commas and rows with newlines, _ROWS rows at a
+time. No such cell holds a comma, quote, CR or LF, so these are the bytes
+csv.writer would write. A chained displacement series, each week opening
+at the prior week's close as to_displacements builds it, takes the reprs
+of its closes once for both price columns.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import csv
 import datetime as dt
 import io
 import math
+import re
 from dataclasses import dataclass
 from typing import IO, ClassVar, Union
 
@@ -54,6 +62,8 @@ _DAY = "datetime64[D]"
 # characters of text read or cut into cells at a time, so that only one
 # chunk exists as a second copy or as str objects at once
 _CHUNK = 1 << 18
+# rows of a CSV table turned into text and written at a time
+_ROWS = 1 << 14
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
@@ -213,10 +223,22 @@ def _read_rows(reader, width: int, idx: list[int]):
         raise DataError("no rows: header present but no data")
 
 
+_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _iso_date(text: str) -> dt.date:
+    """The date of `YYYY-MM-DD` text; ValueError for any other form, also
+    those date.fromisoformat takes from Python 3.11 on (`20010105`,
+    `2001-W02-5`)."""
+    if not _ISO_DAY.fullmatch(text):
+        raise ValueError(f"not YYYY-MM-DD: {text!r}")
+    return dt.date.fromisoformat(text)
+
+
 def _parse_day(lineno: int, text: str) -> int:
     """Days since 1970-01-01 of an ISO date."""
     try:
-        return dt.date.fromisoformat(text).toordinal() - _EPOCH_ORDINAL
+        return _iso_date(text).toordinal() - _EPOCH_ORDINAL
     except ValueError:
         raise DataError(f"line {lineno}: bad date {text!r}") from None
 
@@ -295,7 +317,7 @@ def _plain_columns(text: str, header_line: int, width: int, idx: list[int]):
     cells the text between commas. Plain rows have exactly `width` cells,
     and no `#` leads the first (that row is a comment to _skip);
     the cell at idx[0] is `YYYY-MM-DD` with a year after 0 (the one form
-    numpy and date.fromisoformat read alike) and the others read as
+    numpy and _iso_date read alike) and the others read as
     finite numbers through float(), as the per-cell path reads them.
     """
     start = 0
@@ -342,12 +364,15 @@ def _parse(source: TextSource, asset_id: str, *classes):
     fails the column checks."""
     text = _as_text(source)
     reader = csv.reader(_lines(text))
-    cls, width, idx = _header(reader, classes)
-    columns = None
-    if '"' not in text and "\r" not in text:
-        columns = _plain_columns(text, reader.line_num, width, idx)
-    if columns is None:
-        columns = _cell_columns(reader, width, idx, cls.header)
+    try:
+        cls, width, idx = _header(reader, classes)
+        columns = None
+        if '"' not in text and "\r" not in text:
+            columns = _plain_columns(text, reader.line_num, width, idx)
+        if columns is None:
+            columns = _cell_columns(reader, width, idx, cls.header)
+    except csv.Error as exc:  # such as a field over the csv module's limit
+        raise DataError(f"line {reader.line_num}: {exc}") from None
     lines, *columns = columns
     try:
         return cls(asset_id, *columns)
@@ -417,14 +442,28 @@ def parse_series(source: TextSource, *, resample: bool = False,
     return series
 
 
+def _cells(column: np.ndarray) -> list[str]:
+    """The CSV text of each value: ISO days for dates, repr for floats."""
+    if column.dtype.kind == "M":
+        return np.datetime_as_string(column, unit="D").tolist()
+    return list(map(repr, column.tolist()))
+
+
+def _write_rows(fh: IO[str], header, n: int, cells) -> None:
+    """A header row, then n rows, _ROWS at a time: cells(rows) is the text
+    of each column over the slice `rows`. No cell holds a comma, quote, CR
+    or LF, so cells joined by commas are the rows csv.writer would write."""
+    fh.write(",".join(header) + "\n")
+    for start in range(0, n, _ROWS):
+        columns = cells(slice(start, start + _ROWS))
+        fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+
+
 def _write(fh: IO[str], header, *columns: np.ndarray) -> None:
     """The one CSV table writer: a header row, then one row per index of
     the columns, dates written as ISO days and floats with repr."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*(
-        np.datetime_as_string(c, unit="D").tolist() if c.dtype.kind == "M"
-        else map(repr, c.tolist()) for c in columns)))
+    _write_rows(fh, header, columns[0].size,
+                lambda rows: [_cells(c[rows]) for c in columns])
 
 
 def write_prices(series: PriceSeries, fh: IO[str]) -> None:
@@ -432,5 +471,19 @@ def write_prices(series: PriceSeries, fh: IO[str]) -> None:
 
 
 def write_displacements(series: DisplacementSeries, fh: IO[str]) -> None:
-    _write(fh, DisplacementSeries.header, series.week_end, series.x_a,
-           series.x_b, series.ratio)
+    week_end, x_a, x_b, ratio = (series.week_end, series.x_a, series.x_b,
+                                 series.ratio)
+    # prices are positive, so equal values have equal bits and reprs
+    if not np.array_equal(x_a[1:], x_b[:-1]):
+        _write(fh, DisplacementSeries.header, week_end, x_a, x_b, ratio)
+        return
+    # chained: each week opens at the prior close, so the reprs of the
+    # closes serve both price columns
+    closes = np.append(x_a[:1], x_b)
+
+    def cells(rows):
+        close = _cells(closes[rows.start:rows.stop + 1])
+        return _cells(week_end[rows]), close[:-1], close[1:], _cells(
+            ratio[rows])
+
+    _write_rows(fh, DisplacementSeries.header, ratio.size, cells)

@@ -583,6 +583,33 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "data error: cannot read standard input: it is closed\n"
 
+    def test_numeric_error_every_curve_flat(self, capsys):
+        code, out, err = run(capsys, "estimate", "--input", str(QUIET),
+                             "--grid", "1e-300:1e-290:50")
+        assert (code, out) == (3, "")
+        assert err == "numeric error: no grid candidate fits the sample\n"
+
+    @pytest.mark.parametrize("quote", ["", '"'])
+    @pytest.mark.parametrize("argv", [
+        ["ingest"], ["estimate"], ["backtest", "--crash-week", "2001-01-12"]])
+    def test_data_error_field_over_csv_limit(self, capsys, tmp_path, argv,
+                                             quote):
+        big = tmp_path / "big.csv"
+        big.write_text(f"date,close\n2001-01-05,100\n"
+                       f"2001-01-12,{quote}{'1' * 140_000}{quote}\n")
+        code, out, err = run(capsys, *argv, "--input", str(big))
+        assert (code, out) == (2, "")
+        assert err == ("data error: line 3: field larger than field limit "
+                       "(131072)\n")
+
+    @pytest.mark.parametrize("day", ["20040102", "2004-W01-5"])
+    def test_usage_crash_week_not_iso_day(self, capsys, day):
+        code, out, err = run(capsys, "backtest", "--input", str(QUIET),
+                             "--crash-week", day)
+        assert (code, out) == (1, "")
+        assert err == ("usage error: argument --crash-week: dates are "
+                       f"YYYY-MM-DD, got '{day}'\n")
+
     def test_numeric_error(self, capsys):
         code, _, err = run(capsys, "synth", "--m", "0.1", "--n", "50")
         assert code == 3

@@ -304,6 +304,16 @@ class TestFitMHat:
                            match=r"^t=1e\+308 puts the auto-bracketed grid"):
             fit_m_hat(ladder_series(900.0, 20), t=1e308)
 
+    @pytest.mark.parametrize("method", ["pearson", "identity"])
+    @pytest.mark.parametrize("lo, hi", [(1e-300, 1e-290), (1e290, 1e300)])
+    def test_every_curve_flat(self, lo, hi, method):
+        # pr is 1 at every threshold below the data's scale and 0 (erfc^2
+        # underflows) above it, so no candidate's curve can fit
+        with pytest.raises(DomainError,
+                           match="^no grid candidate fits the sample$"):
+            fit_m_hat(ladder_series(900.0, 20), method=method,
+                      grid_spec=GridSpec(lo=lo, hi=hi, n=50))
+
     def test_identity_method_runs(self):
         sample = ladder_series(700.0, 60)
         res = fit_m_hat(sample, method="identity")
@@ -416,11 +426,13 @@ class TestBlockScoring:
         rho = np.arange(n_thresholds, 0, -1) / (n_thresholds + 1.0)
         # z spans every erfc branch, so blocks are all-small and mixed
         candidates = np.geomspace(20.0, 2e5, n)
-        blocked = _score_grid(candidates, thresholds, rho, 1.0, method)
-        one_shot = _score_rows(_tail_matrix(candidates, thresholds, 1.0),
-                               rho, method)
+        blocked, curved = _score_grid(candidates, thresholds, rho, 1.0,
+                                      method)
+        one_shot, one_curved = _score_rows(
+            _tail_matrix(candidates, thresholds, 1.0), rho, method)
         assert np.array_equal(blocked.view(np.uint64),
                               one_shot.view(np.uint64))
+        assert curved is one_curved is True
 
     def test_fit_memory_bounded(self):
         # one-shot scoring of the 2000 x 10^4 tail matrix peaked near 0.9 GB

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oscmarkets import ingest
 from oscmarkets.errors import DataError
+from oscmarkets.synth import SynthSpec, sample_displacements
 from oscmarkets.ingest import (
     DisplacementSeries,
     PriceSeries,
@@ -315,6 +316,94 @@ class TestRoundTrips:
             parse_displacements(text)
 
 
+def reference_csv(header, *columns):
+    """The table csv.writer writes from the same cells as ingest._write."""
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*(
+        np.datetime_as_string(c, unit="D").tolist() if c.dtype.kind == "M"
+        else map(repr, c.tolist()) for c in columns)))
+    return fh.getvalue()
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.2250738585072e-308, 1e16, 1e-7,
+               1.7976931348623157e308, -1.7976931348623157e308)
+
+
+@st.composite
+def table_columns(draw):
+    """1 to 4 equal-length columns, each of days (NaT among them) or of
+    float64 values (edge values, inf and nan among them)."""
+    n = draw(st.integers(0, 24))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            days = draw(st.lists(st.integers(-800_000, 3_000_000),
+                                 min_size=n, max_size=n))
+            column = np.array(days, dtype="datetime64[D]")
+            if n and draw(st.booleans()):
+                column[draw(st.integers(0, n - 1))] = np.datetime64("NaT")
+        else:
+            column = np.array(draw(st.lists(
+                st.floats() | st.sampled_from(EDGE_FLOATS),
+                min_size=n, max_size=n)), dtype=np.float64)
+        columns.append(column)
+    return columns
+
+
+def written(write, *args):
+    fh = io.StringIO()
+    write(*args, fh)
+    return fh.getvalue()
+
+
+class TestWriterMatchesCsvModule:
+    """_write's bytes against csv.writer over the same cells, with tables
+    longer than _ROWS, so that every row count splits into chunks."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(table_columns(), st.sampled_from((1, 3, ingest._ROWS)))
+    def test_columns(self, columns, rows):
+        header = [f"c{i}" for i in range(len(columns))]
+        fh = io.StringIO()
+        with mock.patch.object(ingest, "_ROWS", rows):
+            ingest._write(fh, header, *columns)
+        assert fh.getvalue() == reference_csv(header, *columns)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data(), st.sampled_from((1, 3, ingest._ROWS)))
+    def test_displacements(self, data, rows):
+        days = data.draw(increasing_days(min_size=2))
+        closes = data.draw(st.lists(
+            st.floats(min_value=1e-3, max_value=1e6), min_size=len(days),
+            max_size=len(days)))
+        chained = to_displacements(PriceSeries("asset", days, closes))
+        # one opening price moved by an ulp: past the first week, the
+        # series no longer chains there
+        k = data.draw(st.integers(0, len(chained) - 1))
+        x_a = chained.x_a.copy()
+        x_a[k] = np.nextafter(x_a[k], np.inf)
+        broken = DisplacementSeries("asset", chained.week_end, x_a,
+                                    chained.x_b, chained.x_b / x_a - 1.0)
+        with mock.patch.object(ingest, "_ROWS", rows):
+            for d in (chained, broken):
+                assert written(write_displacements, d) == reference_csv(
+                    DisplacementSeries.header, d.week_end, d.x_a, d.x_b,
+                    d.ratio)
+
+    def test_synthetic_displacements(self):
+        d = sample_displacements(SynthSpec(m=977.73, n=300, seed=4))
+        assert not np.array_equal(d.x_a[1:], d.x_b[:-1])
+        assert written(write_displacements, d) == reference_csv(
+            DisplacementSeries.header, d.week_end, d.x_a, d.x_b, d.ratio)
+
+    def test_prices(self):
+        s = parse_prices(weekly_csv([100.0, 104.25, 5e-324, 1e16]))
+        assert written(write_prices, s) == reference_csv(
+            PriceSeries.header, s.week_end, s.close)
+
+
 class TestResamplerMatchesIsoCalendar:
     @settings(max_examples=200, deadline=None)
     @given(increasing_days(min_size=2))
@@ -410,7 +499,6 @@ class TestColumnPass:
         "2001-01-05,100\n\n2001-01-12,110\n",
         "2001-01-05,100\n# echo\n2001-01-12,110\n",
         "2001-01-05,100\n2001-01-12,110\n\n",
-        "20010105,100\n2001-01-12,110\n",
         "2001-01-05,100\n2001-01-12,110,7\n",
         " 2001-01-05,100\n2001-01-12,110\n",
     ])
@@ -451,6 +539,10 @@ class TestColumnPass:
         ("2001-01-05,100\n2020-01,110\n", "line 4: bad date '2020-01'"),
         ("2001-01-05,100\n2001-02-30,110\n",
          "line 4: bad date '2001-02-30'"),
+        # forms date.fromisoformat takes from Python 3.11 on
+        ("20010105,100\n2001-01-12,110\n", "line 3: bad date '20010105'"),
+        ("2001-W02-5,100\n2001-01-19,110\n",
+         "line 3: bad date '2001-W02-5'"),
         ("2001-01-05,100\nNaT,110\n", "line 4: bad date 'NaT'"),
         ("2001-01-05,100\n2001-01-12\n", "line 4: expected 2 fields, got 1"),
         # the cells of these two lines, run together, would read as two
