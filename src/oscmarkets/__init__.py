@@ -11,7 +11,7 @@ a series is built.
 
 from .backtest import BacktestConfig, BacktestReport, predict_extreme_points, run_backtest
 from .errors import DataError, DomainError, OscMarketsError
-from .estimate import EstimationResult, GridSpec, fit_m_hat, m_week, r_squared, relative_frequency
+from .estimate import EstimationResult, GridSpec, fit_m_hat, m_week
 from .ingest import (
     DisplacementSeries,
     PriceSeries,
@@ -44,9 +44,7 @@ __all__ = [
     "window",
     "GridSpec",
     "EstimationResult",
-    "relative_frequency",
     "m_week",
-    "r_squared",
     "fit_m_hat",
     "SynthSpec",
     "sample_displacements",

@@ -309,16 +309,15 @@ def _cmd_estimate(ns) -> str:
                           asset_id=asset)
     if ns.window is not None:
         series = window(series, ns.window[0], ns.window[1])
-    fit = est.fit_m_hat(series, t=ns.t, grid_spec=ns.grid,
-                        method=ns.r2_method)
+    fit = est.fit_m_hat(series, t=ns.t, grid_spec=ns.grid)
     _warn_grid_edge(fit)
     window_label = (f"{ns.window[0]}:{ns.window[1]}" if ns.window is not None
                     else "all")
     pairs = [("command", "estimate"), ("input", source),
              ("output", ns.output), ("format", ns.format),
              ("t", repr(ns.t)), ("window", window_label),
-             ("grid", _grid_label(ns.grid)), ("r2_method", ns.r2_method),
-             ("resample", ns.resample), ("emit", ns.emit), ("asset", asset)]
+             ("grid", _grid_label(ns.grid)), ("resample", ns.resample),
+             ("emit", ns.emit), ("asset", asset)]
 
     rows, trace = fit.table, fit.grid
 
@@ -456,8 +455,6 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--window", type=_window_value, metavar="START:COUNT")
     p.add_argument("--grid", type=_grid_value, metavar="LO:HI:N",
                    default=config.get("grid"))
-    p.add_argument("--r2-method", choices=("pearson", "identity"),
-                   default="pearson")
     p.add_argument("--emit", choices=("table", "grid"), default="table",
                    help="csv payload (default: threshold table)")
     p.set_defaults(handler=_cmd_estimate)

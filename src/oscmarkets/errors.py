@@ -15,6 +15,14 @@ class DataError(OscMarketsError, ValueError):
     """Input data fails parsing, validation, or windowing constraints."""
 
 
+def finite(name: str, value) -> float:
+    """`value` as a float; DomainError unless it is finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def positive(name: str, value) -> float:
     """`value` as a float; DomainError unless it is finite and > 0."""
     value = float(value)

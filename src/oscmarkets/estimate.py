@@ -30,9 +30,9 @@ differently, so with this alignment every score equals, bit for bit, the
 score of the whole grid in one product on one thread, whatever the number
 of BLAS threads.
 
-r^2 is Pearson by default; a regression-against-the-identity-line variant
-is available via method="identity" (it may be negative when the theoretical
-curve fits worse than a constant).
+r^2 is the squared Pearson correlation, so it lies in [0, 1], and a
+candidate whose tail curve is flat at float resolution scores exactly 0.
+A fit whose best r^2 is 0 carries no information and raises DomainError.
 
 A fit result holds read-only float64 record arrays: `table` with columns
 x, rho, pr (one row per threshold, ascending in x, pr at m_hat) and `grid`
@@ -44,20 +44,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, DomainError, positive
+from .errors import DataError, DomainError, finite, positive
 from .ingest import DisplacementSeries
 from .specfun import _erfc_core, erfc_inv
 
 __all__ = [
     "GridSpec",
     "EstimationResult",
-    "relative_frequency",
     "m_week",
-    "r_squared",
     "fit_m_hat",
 ]
 
@@ -121,13 +119,6 @@ class EstimationResult:
                 raise DomainError(f"{name} must lie in [0, 1], got {bad[0]}")
 
 
-def relative_frequency(sample: DisplacementSeries, x_min: float) -> float:
-    """Fraction of sample weeks with |x| >= x_min (mean of 0/1 coding)."""
-    if x_min < 0.0 or not math.isfinite(x_min):
-        raise DomainError(f"threshold must be finite and >= 0, got {x_min}")
-    return float(_frequencies(np.sort(np.abs(sample.ratio)), x_min))
-
-
 def _frequencies(abs_sorted: np.ndarray, thresholds) -> np.ndarray:
     """Fraction of the sorted |x| >= each threshold: an integer count / n."""
     n = abs_sorted.size
@@ -148,42 +139,13 @@ def m_week(rho: float, x_w: float, t: float = 1.0) -> float:
         raise DomainError(f"rho must lie in (0, 1], got {rho}")
     if x_w == 0.0:
         raise DomainError("zero displacement cannot be inverted")
-    if not math.isfinite(x_w):
-        raise DomainError(f"x_w must be finite, got {x_w!r}")
-    return float(_invert(rho, x_w, t))
+    return float(_invert(rho, finite("x_w", x_w), t))
 
 
 def _invert(rho: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
     """The tail law solved for m at (rho, |x|), elementwise."""
     z = erfc_inv(np.sqrt(rho)) / np.abs(x)
     return 2.0 * t * z * z
-
-
-def r_squared(predicted: Sequence[float], observed: Sequence[float],
-              method: str = "pearson") -> float:
-    """Coefficient of determination between two value lists.
-
-    method="pearson" (default): squared Pearson correlation, symmetric and
-    affine-invariant. method="identity": 1 - SS_res/SS_tot with predicted
-    taken as-is (no refit), which penalizes miscalibration and may be
-    negative.
-    """
-    p = np.asarray(predicted, dtype=np.float64)
-    o = np.asarray(observed, dtype=np.float64)
-    if p.shape != o.shape or p.ndim != 1:
-        raise DataError(
-            f"predicted and observed must be equal-length vectors, "
-            f"got {p.shape} and {o.shape}"
-        )
-    if p.size < 3:
-        raise DataError(f"need at least 3 points, got {p.size}")
-    if (o == o[0]).all():
-        raise DataError("observed values are all identical")
-    if method not in ("pearson", "identity"):
-        raise DataError(f"unknown r_squared method {method!r}")
-    if method == "pearson" and (p == p[0]).all():
-        raise DataError("predicted values are all identical")
-    return float(_score_rows(p[None, :], o, method)[0][0])
 
 
 def _tail_matrix(m_values: np.ndarray, thresholds: np.ndarray,
@@ -199,26 +161,21 @@ def _tail_matrix(m_values: np.ndarray, thresholds: np.ndarray,
     return e
 
 
-def _score_rows(pr: np.ndarray, rho: np.ndarray, method: str):
-    """Per-row r^2 of theoretical curves against the empirical curve, and
-    whether any row's curve is not flat.
+def _score_rows(pr: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Per-row r^2 of theoretical curves against the empirical curve.
 
     Rows whose curve is flat at float resolution (candidate m far outside
-    the data's scale) score 0 under pearson rather than raising: they are
-    legitimate grid members, just hopeless ones.
+    the data's scale) score 0 rather than raising: they are legitimate
+    grid members, just hopeless ones.
     """
     oc = rho - rho.mean()
     ss_o = float(oc @ oc)
     pc = pr - pr.mean(axis=1, keepdims=True)
     ss_p = np.einsum("ij,ij->i", pc, pc)
-    curved = bool((ss_p > 0.0).any())
-    if method == "pearson":
-        num = pc @ oc
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r2 = np.where(ss_p > 0.0, (num * num) / (ss_p * ss_o), 0.0)
-        return np.minimum(r2, 1.0), curved
-    resid = pr - rho[None, :]
-    return 1.0 - np.einsum("ij,ij->i", resid, resid) / ss_o, curved
+    num = pc @ oc
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r2 = np.where(ss_p > 0.0, (num * num) / (ss_p * ss_o), 0.0)
+    return np.minimum(r2, 1.0)
 
 
 def _block_rows(n_thresholds: int) -> int:
@@ -227,36 +184,31 @@ def _block_rows(n_thresholds: int) -> int:
 
 
 def _score_grid(candidates: np.ndarray, thresholds: np.ndarray,
-                rho: np.ndarray, t: float, method: str):
-    """r^2 of every candidate, scored block by block (see module
-    docstring), and whether any candidate's curve is not flat."""
+                rho: np.ndarray, t: float) -> np.ndarray:
+    """r^2 of every candidate, scored block by block (see module docstring)."""
     n = candidates.size
     step = _block_rows(thresholds.size)
     scores = np.empty(n)
-    curved = False
     start = 0
     while start < n:
         stop = start + step
         if n - stop < 8:  # fold a short trailing block into this one
             stop = n
         pr = _tail_matrix(candidates[start:stop], thresholds, t)
-        scores[start:stop], block_curved = _score_rows(pr, rho, method)
-        curved |= block_curved
+        scores[start:stop] = _score_rows(pr, rho)
         start = stop
-    return scores, curved
+    return scores
 
 
 def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
-              grid_spec: Optional[GridSpec] = None,
-              method: str = "pearson") -> EstimationResult:
+              grid_spec: Optional[GridSpec] = None) -> EstimationResult:
     """Fit the inertial coefficient by maximal r^2 over a log-spaced grid.
 
     Requires at least 10 sample weeks with at least 3 distinct nonzero
-    |x| values. The module docstring describes the result's columns.
+    |x| values; raises DomainError when the best r^2 is 0 (every evaluated
+    curve is flat). The module docstring describes the result's columns.
     """
     t = positive("t", t)
-    if method not in ("pearson", "identity"):
-        raise DataError(f"unknown r_squared method {method!r}")
     if grid_spec is None:
         grid_spec = GridSpec()
     n = len(sample)
@@ -271,62 +223,60 @@ def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
         )
     rho = _frequencies(np.sort(abs_x), thresholds)
 
-    if grid_spec.lo is not None:
-        lo, hi = grid_spec.lo, grid_spec.hi
-    else:
-        keep = rho < 1.0
-        m_w = _invert(rho[keep], thresholds[keep], t)
-        lo = float(m_w.min()) / BRACKET_FACTOR
-        hi = float(m_w.max()) * BRACKET_FACTOR
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise DomainError(f"t={t!r} puts the auto-bracketed grid out of "
-                              f"range: [{lo!r}, {hi!r}]")
-
-    candidates = np.geomspace(lo, hi, grid_spec.n)
-    scores, curved = _score_grid(candidates, thresholds, rho, t, method)
-
-    best = int(np.argmax(scores))  # first max = smallest m on a tie
-
-    extra_m: list[float] = []
-    extra_r2: list[float] = []
-
-    def evaluate(log_m: float) -> float:  # traced r^2 at exp(log_m)
-        nonlocal curved
-        m = math.exp(log_m)
-        score, m_curved = _score_grid(np.array([m]), thresholds, rho, t,
-                                      method)
-        r2 = float(score[0])
-        curved |= m_curved
-        extra_m.append(m)
-        extra_r2.append(r2)
-        return r2
-
-    # one golden-section pass around the winning candidate, in log space
-    a = math.log(candidates[max(best - 1, 0)])
-    b = math.log(candidates[min(best + 1, grid_spec.n - 1)])
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = evaluate(c), evaluate(d)
-    while b - a > 1e-9:
-        if fc >= fd:  # keep the left interval on ties: smaller m wins
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = evaluate(c)
+    # an overflow gives inf where it is checked or is the limit (pr = 0)
+    with np.errstate(over="ignore"):
+        if grid_spec.lo is not None:
+            lo, hi = grid_spec.lo, grid_spec.hi
         else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = evaluate(d)
-    if not curved:
-        raise DomainError("no grid candidate fits the sample")
+            keep = rho < 1.0
+            m_w = _invert(rho[keep], thresholds[keep], t)
+            lo = float(m_w.min()) / BRACKET_FACTOR
+            hi = float(m_w.max()) * BRACKET_FACTOR
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise DomainError(f"t={t!r} puts the auto-bracketed grid "
+                                  f"out of range: [{lo!r}, {hi!r}]")
 
-    m_all = np.concatenate([candidates, extra_m])
-    order = np.argsort(m_all, kind="stable")
-    grid = _columns(m=m_all[order],
-                    r2=np.concatenate([scores, extra_r2])[order])
-    # the first maximum in m order: the smallest m on a tie
-    m_hat, best_r2 = grid[np.argmax(grid.r2)].tolist()
+        candidates = np.geomspace(lo, hi, grid_spec.n)
+        scores = _score_grid(candidates, thresholds, rho, t)
 
-    pr_hat = _tail_matrix(np.array([m_hat]), thresholds, t)[0]
+        best = int(np.argmax(scores))  # first max = smallest m on a tie
+
+        extra_m: list[float] = []
+        extra_r2: list[float] = []
+
+        def evaluate(log_m: float) -> float:  # traced r^2 at exp(log_m)
+            m = math.exp(log_m)
+            r2 = float(_score_grid(np.array([m]), thresholds, rho, t)[0])
+            extra_m.append(m)
+            extra_r2.append(r2)
+            return r2
+
+        # one golden-section pass around the best candidate, in log space
+        a = math.log(candidates[max(best - 1, 0)])
+        b = math.log(candidates[min(best + 1, grid_spec.n - 1)])
+        c = b - _INVPHI * (b - a)
+        d = a + _INVPHI * (b - a)
+        fc, fd = evaluate(c), evaluate(d)
+        while b - a > 1e-9:
+            if fc >= fd:  # keep the left interval on ties: smaller m wins
+                b, d, fd = d, c, fc
+                c = b - _INVPHI * (b - a)
+                fc = evaluate(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _INVPHI * (b - a)
+                fd = evaluate(d)
+
+        m_all = np.concatenate([candidates, extra_m])
+        order = np.argsort(m_all, kind="stable")
+        grid = _columns(m=m_all[order],
+                        r2=np.concatenate([scores, extra_r2])[order])
+        # the first maximum in m order: the smallest m on a tie
+        m_hat, best_r2 = grid[np.argmax(grid.r2)].tolist()
+        if not best_r2 > 0.0:  # every evaluated curve is flat
+            raise DomainError("no grid candidate fits the sample")
+
+        pr_hat = _tail_matrix(np.array([m_hat]), thresholds, t)[0]
     edges = candidates[[0, -1]]
     return EstimationResult(
         m_hat=m_hat, r2=best_r2,

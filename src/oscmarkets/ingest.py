@@ -162,9 +162,10 @@ class DisplacementSeries:
         _check((x_a <= 0.0) | (x_b <= 0.0),
                "prices must be positive, got x_a={}, x_b={}", x_a, x_b)
         _check(ratio <= -1.0, "ratio must exceed -1, got {}", ratio)
-        implied = x_b / x_a - 1.0
+        with np.errstate(over="ignore"):  # an infinite implied is rejected
+            implied = x_b / x_a - 1.0
         tolerance = 1e-12 * np.maximum(1.0, np.abs(implied))
-        _check(np.abs(ratio - implied) > tolerance,
+        _check(~np.isfinite(implied) | (np.abs(ratio - implied) > tolerance),
                "ratio {} inconsistent with endpoints ({}, {}) implying {}",
                ratio, x_a, x_b, implied)
         _check_dates(week_end)
@@ -406,8 +407,9 @@ def to_displacements(series: PriceSeries) -> DisplacementSeries:
     """Weekly displacements x = close[i+1]/close[i] - 1, dated by the
     later week; each week opens at the prior week's close."""
     x_a, x_b = series.close[:-1], series.close[1:]
-    return DisplacementSeries(series.asset_id, series.week_end[1:], x_a, x_b,
-                              x_b / x_a - 1.0)
+    with np.errstate(over="ignore"):  # DisplacementSeries rejects inf
+        return DisplacementSeries(series.asset_id, series.week_end[1:], x_a,
+                                  x_b, x_b / x_a - 1.0)
 
 
 def window(series: DisplacementSeries, start_index: int,

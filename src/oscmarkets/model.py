@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, positive
+from .errors import DomainError, finite, positive
 from .specfun import erfc
 
 __all__ = [
@@ -34,13 +34,6 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -57,13 +50,13 @@ class OscillatorParams:
 
 def action(params: OscillatorParams, x: float) -> float:
     """Action of the week's move, S = m x^2 / (2 t)."""
-    x = _require_finite("x", x)
+    x = finite("x", x)
     return 0.5 * params.m * x * x / params.t
 
 
 def action_from_phase(phi: float) -> float:
     """Action in phase form, S = (2 pi sin phi)^2 = u^2."""
-    phi = _require_finite("phi", phi)
+    phi = finite("phi", phi)
     if abs(phi) > math.pi / 2.0 + 1e-12:
         raise DomainError(f"phase {phi} outside [-pi/2, pi/2]")
     u = _TWO_PI * math.sin(phi)
@@ -76,7 +69,7 @@ def prob_at_least(params: OscillatorParams, x_min: float) -> float:
     Callers pass the magnitude; negative thresholds are rejected rather
     than silently folded.
     """
-    x_min = _require_finite("x_min", x_min)
+    x_min = finite("x_min", x_min)
     if x_min < 0.0:
         raise DomainError(f"threshold must be >= 0, got {x_min}")
     e = erfc(x_min * math.sqrt(params.m / (2.0 * params.t)))

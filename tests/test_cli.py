@@ -6,9 +6,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oscmarkets
 from oscmarkets.cli import CONFIG_ENV, main
@@ -583,6 +586,30 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "data error: cannot read standard input: it is closed\n"
 
+    def test_overflowing_tail_argument(self, capsys):
+        # m / (2t) overflows at the top of the grid, where pr = 0 is the
+        # limit; a numpy warning would fail the test
+        code, out, err = run(capsys, "estimate", "--input", str(QUIET),
+                             "--t", "1e-10", "--grid", "1e-9:1e308:2000")
+        assert (code, err) == (0, "") and "r2: 1.000000" in out
+
+    def test_data_error_overflowing_price_ratio(self, capsys, tmp_path):
+        prices = tmp_path / "prices.csv"
+        prices.write_text("date,close\n2001-01-05,1e-300\n2001-01-12,1e300\n")
+        code, out, err = run(capsys, "estimate", "--input", str(prices))
+        assert (code, out) == (2, "")
+        assert err == "data error: ratio must be finite, got inf\n"
+
+    def test_data_error_overflowing_implied_ratio(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            "week_end,x_a,x_b,ratio\n2001-01-05,1e-300,1e300,5.0\n"
+            "2001-01-12,100,101,0.01\n"
+            "2001-01-19,101,100,-0.00990099009900991\n"))
+        code, out, err = run(capsys, "estimate", "--stdin")
+        assert (code, out) == (2, "")
+        assert err == ("data error: line 2: ratio 5.0 inconsistent with "
+                       "endpoints (1e-300, 1e+300) implying inf\n")
+
     def test_numeric_error_every_curve_flat(self, capsys):
         code, out, err = run(capsys, "estimate", "--input", str(QUIET),
                              "--grid", "1e-300:1e-290:50")
@@ -614,3 +641,64 @@ class TestExitCodes:
         code, _, err = run(capsys, "synth", "--m", "0.1", "--n", "50")
         assert code == 3
         assert "numeric error" in err
+
+
+def run_strict(argv):
+    """main(argv) in-process with every warning raised as an error:
+    (exit code, stdout, stderr)."""
+    saved = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdout, sys.stderr = saved
+
+
+# finite positive values from the subnormal range to the largest doubles
+EXTREME = st.one_of(st.integers(-320, 308).map(lambda e: 10.0 ** e),
+                    st.floats(1e-320, 1e308))
+PREFIXES = {1: "usage error: ", 2: "data error: ", 3: "numeric error: "}
+
+
+class TestExtremeFlagValues:
+    """Extreme finite flag values end in a result or in one documented
+    error line, with no warning and no traceback."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_documented_outcome(self, data):
+        command = data.draw(st.sampled_from(
+            ("estimate", "backtest", "predict", "synth")))
+
+        def value():
+            return repr(data.draw(EXTREME))
+
+        if command == "estimate":
+            argv = ["estimate", "--input", str(QUIET)]
+        elif command == "backtest":
+            argv = ["backtest", "--input", str(CRASH),
+                    "--crash-week", "2004-12-06"]
+        elif command == "predict":
+            argv = ["predict", "--m-hat", value(), "--prior-close", value()]
+        else:
+            argv = ["synth", "--m", value(), "--n", "20"]
+        if data.draw(st.booleans()):
+            argv += ["--t", value()]
+        if command in ("estimate", "backtest") and data.draw(st.booleans()):
+            lo, hi = sorted((data.draw(EXTREME), data.draw(EXTREME)))
+            n = data.draw(st.integers(2, 60))
+            argv += ["--grid", f"{lo!r}:{hi!r}:{n}"]
+        fmt = data.draw(st.sampled_from(("text", "csv", "structured")))
+        code, out, err = run_strict(argv + ["--format", fmt])
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith(PREFIXES[code]) and err.endswith("\n")
+        else:
+            assert err == "" or (err.startswith("warning: m_hat ")
+                                 and err.count("\n") == 1)
+            if fmt == "structured":
+                TestPredict.strict_json(out)

@@ -13,6 +13,7 @@ from oscmarkets.errors import DataError, DomainError
 from oscmarkets.estimate import (
     _block_rows,
     _columns,
+    _frequencies,
     _score_grid,
     _score_rows,
     _tail_matrix,
@@ -20,8 +21,6 @@ from oscmarkets.estimate import (
     GridSpec,
     fit_m_hat,
     m_week,
-    r_squared,
-    relative_frequency,
 )
 from oscmarkets.cli import main
 from oscmarkets.ingest import DisplacementSeries, write_displacements
@@ -71,24 +70,23 @@ def ladder_series(m0, n, t=1.0):
 class TestRelativeFrequency:
     SAMPLE = series_from_ratios([0.01, -0.02, 0.03])
 
+    @staticmethod
+    def freq(sample, x_min):
+        return _frequencies(np.sort(np.abs(sample.ratio)), x_min)
+
     def test_zero_threshold(self):
-        assert relative_frequency(self.SAMPLE, 0.0) == 1.0
+        assert self.freq(self.SAMPLE, 0.0) == 1.0
 
     def test_direct_count(self):
-        assert relative_frequency(self.SAMPLE, 0.02) == pytest.approx(2 / 3)
+        assert self.freq(self.SAMPLE, 0.02) == pytest.approx(2 / 3)
 
     def test_above_max(self):
-        assert relative_frequency(self.SAMPLE, 0.5) == 0.0
+        assert self.freq(self.SAMPLE, 0.5) == 0.0
 
     def test_non_increasing(self):
         sample = series_from_ratios([0.01, -0.02, 0.03, 0.0, -0.015, 0.07])
-        vals = [relative_frequency(sample, x)
-                for x in np.linspace(0.0, 0.1, 40)]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(DomainError):
-            relative_frequency(self.SAMPLE, -0.01)
+        vals = self.freq(sample, np.linspace(0.0, 0.1, 40))
+        assert (vals[1:] <= vals[:-1]).all()
 
 
 class TestMWeek:
@@ -139,50 +137,33 @@ class TestMWeek:
 
 
 class TestRSquared:
+    """_score_rows: the squared Pearson correlation of each row."""
+
+    @staticmethod
+    def r2(predicted, observed):
+        return _score_rows(np.array([predicted], dtype=np.float64),
+                           np.array(observed, dtype=np.float64))[0]
+
     def test_perfect(self):
-        assert r_squared([0.1, 0.2, 0.4], [0.1, 0.2, 0.4]) == pytest.approx(1.0)
+        assert self.r2([0.1, 0.2, 0.4], [0.1, 0.2, 0.4]) == pytest.approx(1.0)
 
     def test_affine_invariance(self):
         p = [0.1, 0.25, 0.4, 0.9]
         o = [3.0 * v + 0.7 for v in p]
-        assert r_squared(p, o) == pytest.approx(1.0, abs=1e-12)
+        assert self.r2(p, o) == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_pearson_value(self):
-        assert r_squared([1, 2, 3], [1, 2, 2]) == pytest.approx(0.75,
-                                                                rel=1e-12)
-
-    def test_identity_variant(self):
-        # 1 - SS_res/SS_tot = 1 - 1/(2/3) for the same hand example
-        got = r_squared([1, 2, 3], [1, 2, 2], method="identity")
-        assert got == pytest.approx(-0.5, rel=1e-12)
-        assert r_squared([1, 2, 2], [1, 2, 2],
-                         method="identity") == pytest.approx(1.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DataError):
-            r_squared([1, 2, 3], [1, 2])
-
-    def test_too_short(self):
-        with pytest.raises(DataError):
-            r_squared([1, 2], [1, 2])
-
-    def test_constant_observed(self):
-        with pytest.raises(DataError, match="identical"):
-            r_squared([1, 2, 3], [5, 5, 5])
-        # the mean of three 0.1s is not 0.1, so a centred sum of squares
-        # is not 0 either
-        with pytest.raises(DataError, match="identical"):
-            r_squared([1, 2, 3], [0.1, 0.1, 0.1])
+        assert self.r2([1, 2, 3], [1, 2, 2]) == pytest.approx(0.75,
+                                                              rel=1e-12)
 
     def test_constant_predicted(self):
-        with pytest.raises(DataError, match="identical"):
-            r_squared([5, 5, 5], [1, 2, 3])
-        with pytest.raises(DataError, match="identical"):
-            r_squared([0.1, 0.1, 0.1], [1, 2, 3])
-
-    def test_unknown_method(self):
-        with pytest.raises(DataError, match="method"):
-            r_squared([1, 2, 3], [1, 2, 2], method="spearman")
+        # a flat row scores 0, the others as they would alone; pr is 1 or
+        # 0 at every threshold for a candidate far off the data's scale
+        scores = _score_rows(np.array([[5.0] * 3, [1.0] * 3, [0.0] * 3,
+                                       [1.0, 2.0, 3.0]]),
+                             np.array([1.0, 2.0, 2.0]))
+        assert scores.tolist() == [0.0, 0.0, 0.0,
+                                   self.r2([1, 2, 3], [1, 2, 2])]
 
 
 class TestGridSpec:
@@ -223,7 +204,7 @@ class TestFitMHat:
         sample = sample_displacements(SynthSpec(m=500.0, n=60, seed=7))
         result = fit_m_hat(sample)
         for row in result.table:
-            assert row.rho == relative_frequency(sample, row.x)
+            assert row.rho == np.mean(np.abs(sample.ratio) >= row.x)
             assert row.pr == pytest.approx(
                 prob_at_least(OscillatorParams(m=result.m_hat), row.x),
                 rel=1e-12)
@@ -304,24 +285,33 @@ class TestFitMHat:
                            match=r"^t=1e\+308 puts the auto-bracketed grid"):
             fit_m_hat(ladder_series(900.0, 20), t=1e308)
 
-    @pytest.mark.parametrize("method", ["pearson", "identity"])
     @pytest.mark.parametrize("lo, hi", [(1e-300, 1e-290), (1e290, 1e300)])
-    def test_every_curve_flat(self, lo, hi, method):
+    def test_every_curve_flat(self, lo, hi):
         # pr is 1 at every threshold below the data's scale and 0 (erfc^2
-        # underflows) above it, so no candidate's curve can fit
+        # underflows) above it, so every candidate scores r^2 = 0
         with pytest.raises(DomainError,
                            match="^no grid candidate fits the sample$"):
-            fit_m_hat(ladder_series(900.0, 20), method=method,
+            fit_m_hat(ladder_series(900.0, 20),
                       grid_spec=GridSpec(lo=lo, hi=hi, n=50))
 
-    def test_identity_method_runs(self):
-        sample = ladder_series(700.0, 60)
-        res = fit_m_hat(sample, method="identity")
-        assert res.m_hat == pytest.approx(700.0, rel=1e-3)
 
-    def test_unknown_method(self):
-        with pytest.raises(DataError, match="method"):
-            fit_m_hat(ladder_series(700.0, 60), method="ols")
+class TestFitMatchesDefinitions:
+    """A fit's r2 is the squared Pearson correlation of its table's pr and
+    rho columns, and rho is the direct count of |x| >= X over n."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.data())
+    def test_r2_and_rho(self, data):
+        n = data.draw(st.integers(10, 200))
+        m = data.draw(st.sampled_from((355.92, 977.73, 2513.76)))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        sample = sample_displacements(SynthSpec(m=m, n=n, seed=seed))
+        fit = fit_m_hat(sample)
+        table = fit.table
+        pearson = np.corrcoef(table.pr, table.rho)[0, 1]
+        assert abs(fit.r2 - pearson * pearson) <= 1e-12
+        counts = (np.abs(sample.ratio)[:, None] >= table.x).sum(axis=0)
+        assert np.array_equal(table.rho, counts / n)
 
 
 class TestExactInvariance:
@@ -410,15 +400,14 @@ class TestBlockScoring:
         assert rows >= 8 and rows % 8 == 0
         assert rows * n_thresholds <= max(1 << 16, 8 * n_thresholds)
 
-    @pytest.mark.parametrize("n, n_thresholds, method", [
-        (2000, 3, "pearson"),
-        (2000, 100, "pearson"),
-        (2000, 100, "identity"),
-        (2000, 1000, "pearson"),
-        (2000, 9000, "pearson"),
-        (17, 9000, "pearson"),  # one trailing row folded into the block
+    @pytest.mark.parametrize("n, n_thresholds", [
+        (2000, 3),
+        (2000, 100),
+        (2000, 1000),
+        (2000, 9000),
+        (17, 9000),  # one trailing row folded into the block
     ])
-    def test_equals_one_shot(self, n, n_thresholds, method):
+    def test_equals_one_shot(self, n, n_thresholds):
         rng = np.random.default_rng(n_thresholds)
         thresholds = np.unique(np.abs(rng.standard_normal(n_thresholds)))
         thresholds *= 0.03
@@ -426,13 +415,11 @@ class TestBlockScoring:
         rho = np.arange(n_thresholds, 0, -1) / (n_thresholds + 1.0)
         # z spans every erfc branch, so blocks are all-small and mixed
         candidates = np.geomspace(20.0, 2e5, n)
-        blocked, curved = _score_grid(candidates, thresholds, rho, 1.0,
-                                      method)
-        one_shot, one_curved = _score_rows(
-            _tail_matrix(candidates, thresholds, 1.0), rho, method)
+        blocked = _score_grid(candidates, thresholds, rho, 1.0)
+        one_shot = _score_rows(_tail_matrix(candidates, thresholds, 1.0),
+                               rho)
         assert np.array_equal(blocked.view(np.uint64),
                               one_shot.view(np.uint64))
-        assert curved is one_curved is True
 
     def test_fit_memory_bounded(self):
         # one-shot scoring of the 2000 x 10^4 tail matrix peaked near 0.9 GB

@@ -570,6 +570,10 @@ class TestColumnPass:
         (DisplacementSeries, "2001-01-05,100,110,0.2\n",
          "line 3: ratio 0.2 inconsistent with endpoints (100.0, 110.0) "
          "implying 0.10000000000000009"),
+        # x_b / x_a overflows: an infinite implied ratio matches no ratio
+        (DisplacementSeries, "2001-01-05,1e-300,1e300,5.0\n",
+         "line 3: ratio 5.0 inconsistent with endpoints (1e-300, 1e+300) "
+         "implying inf"),
     ])
     def test_row_error_names_input_line(self, cls, text, message):
         text = "# echo\n" + ",".join(cls.header) + "\n" + text
