@@ -3,11 +3,13 @@
 Every command runs in-process through oscmarkets.cli.main: each subcommand
 in each --format and --emit on the backtest fixtures of tests/data and on a
 small daily price file written here, plus estimate --grid 10:100:50 and
-5000:9000:50 (grid-edge hits that warn on stderr), a few failing commands,
-a config-file run and one `synth | estimate --stdin` pipe. The digest
-covers repr((argv, exit code, stdout, stderr)) of every command in order,
-so two source trees give the same digest exactly when the CLI writes the
-same bytes and exits the same way on all of them.
+5000:9000:50 (grid-edge hits that warn on stderr), a few failing commands
+and one `synth | estimate --stdin` pipe. Last, a config file sets every
+config key, and each subcommand runs under it in each --format with none
+of the flags those keys stand for, then once with some overridden. The
+digest covers repr((argv, exit code, stdout, stderr)) of every command in
+order, so two source trees give the same digest exactly when the CLI
+writes the same bytes and exits the same way on all of them.
 
 The commands run in a temporary directory holding copies of the fixtures
 under the same relative paths, so the `# config:` echo of each input path
@@ -132,11 +134,20 @@ def main() -> None:
             for fmt in FORMATS:
                 record(["estimate", "--stdin", "--format", fmt], synth_out)
             pathlib.Path("osc.cfg").write_text(
-                "m_hat = 977.73\nprior_close = 1099.23\ngrid = 100:5000:40\n")
+                "t = 2\ntrain_count = 80\ngrid = 100:5000:40\nseed = 5\n"
+                "crash_week = 2004-12-06\nprior_close = 1099.23\n"
+                "m_hat = 977.73\n")
             os.environ[cli.CONFIG_ENV] = "osc.cfg"
-            record(["predict"])
+            for fmt in FORMATS:
+                f = ("--format", fmt)
+                record(["ingest", "--input", FIXTURES[0], *f])
+                record(["estimate", "--input", FIXTURES[0], *f])
+                record(["synth", "--m", "977.73", "--n", "50", *f])
+                record(["predict", *f])
+                record(["backtest", "--input", FIXTURES[1], *f])
             record(["backtest", "--input", FIXTURES[0], "--crash-week",
-                    "2004-12-06", "--format", "csv"])
+                    "2004-12-06", "--t", "1", "--window", "0:100",
+                    "--format", "csv"])
         finally:
             os.environ.pop(cli.CONFIG_ENV, None)
             if saved_config is not None:

@@ -8,8 +8,8 @@ its output: a `# config:` comment line for text and csv formats, a
 so identical invocations over identical files are byte-identical.
 
 The config file is read and checked before the flags are parsed, and its
-values become the parser's defaults: argparse alone applies the precedence,
-and config-file errors come before flag errors, `--help` included.
+values become each subcommand's defaults: argparse alone applies the
+precedence, and config-file errors come before flag errors and `--help`.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data/validation
 error, 3 numeric/domain failure.
@@ -173,21 +173,6 @@ def _load_config_file() -> dict:
     return values
 
 
-def _read_input(path: str) -> str:
-    if path == "-":
-        if sys.stdin is None:
-            raise DataError("cannot read standard input: it is closed")
-        try:
-            return _as_text(sys.stdin)
-        except OSError as exc:
-            raise DataError(f"cannot read standard input: {exc}") from None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return _as_text(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read input {path}: {exc}") from None
-
-
 def _warn_grid_edge(fit: est.EstimationResult) -> None:
     """One stderr line when m_hat is the first or last grid candidate."""
     if fit.at_grid_edge:
@@ -196,8 +181,26 @@ def _warn_grid_edge(fit: est.EstimationResult) -> None:
               f"grid [{lo!r}, {hi!r}]", file=sys.stderr)
 
 
-def _asset_label(path: str) -> str:
-    return "stdin" if path == "-" else Path(path).stem
+def _read_series(ns, parse):
+    """parse(...) of the CSV at ns.input (- for stdin), labelled with the
+    file's stem: the one place a command reads its input."""
+    if ns.input is None:
+        raise UsageError(f"{ns.command} needs --input PATH")
+    stdin = ns.input == "-"
+    if stdin and sys.stdin is None:
+        raise DataError("cannot read standard input: it is closed")
+    try:
+        if stdin:
+            # bytes, decoded as strictly as a file's, whatever the locale
+            text = _as_text(getattr(sys.stdin, "buffer", sys.stdin))
+        else:
+            with open(ns.input, encoding="utf-8") as fh:
+                text = _as_text(fh)
+    except OSError as exc:
+        where = "standard input" if stdin else f"input {ns.input}"
+        raise DataError(f"cannot read {where}: {exc}") from None
+    return parse(text, resample=ns.resample == "daily-to-weekly",
+                 asset_id="stdin" if stdin else Path(ns.input).stem)
 
 
 def _grid_label(spec: Optional[est.GridSpec]) -> str:
@@ -226,8 +229,10 @@ def _csv_cell(value) -> str:
 def _render(ns, pairs, key: str, record, text=None, table=None) -> str:
     """A command's output in ns.format: the one place that knows formats.
 
-    `pairs` is the resolved configuration. `record`, `text` and `table`
-    are thunks, and only the one ns.format needs is called:
+    The configuration echo is `command`, `input` (when the command reads
+    one), `output` and `format`, then the command's own `pairs`. `record`,
+    `text` and `table` are thunks, and only the one ns.format needs is
+    called:
 
     structured: {"config": {...}, key: record()} as indented JSON.
     csv: the `# config:` line, then table(fh) writing the body or, with no
@@ -236,6 +241,9 @@ def _render(ns, pairs, key: str, record, text=None, table=None) -> str:
         as it is, and (name, value) or (name, value, spec) as `name: value`
         with the value formatted by spec. With no text, text is csv.
     """
+    pairs = [("command", ns.command),
+             *([("input", ns.input)] if "input" in ns else []),
+             ("output", ns.output), ("format", ns.format), *pairs]
     if ns.format == "structured":
         return json.dumps({"config": dict(pairs), key: record()},
                           indent=2) + "\n"
@@ -270,13 +278,9 @@ def _displacement_record(d) -> dict:
 
 
 def _cmd_ingest(ns) -> str:
-    asset = ns.asset or _asset_label(ns.input)
-    series = parse_prices(_read_input(ns.input),
-                          resample=ns.resample == "daily-to-weekly",
-                          asset_id=asset)
-    pairs = [("command", "ingest"), ("input", ns.input),
-             ("output", ns.output), ("format", ns.format),
-             ("resample", ns.resample), ("emit", ns.emit), ("asset", asset)]
+    series = _read_series(ns, parse_prices)
+    pairs = [("resample", ns.resample), ("emit", ns.emit),
+             ("asset", series.asset_id)]
 
     def text():
         first, last = np.datetime_as_string(series.week_end[[0, -1]],
@@ -298,27 +302,21 @@ def _cmd_ingest(ns) -> str:
 
 
 def _cmd_estimate(ns) -> str:
-    if ns.stdin and ns.input is not None:
-        raise UsageError("give either --input or --stdin, not both")
-    source = "-" if ns.stdin else ns.input
-    if source is None:
+    if ns.stdin:
+        if ns.input is not None:
+            raise UsageError("give either --input or --stdin, not both")
+        ns.input = "-"
+    elif ns.input is None:
         raise UsageError("estimate needs --input PATH or --stdin")
-    asset = _asset_label(source)
-    series = parse_series(_read_input(source),
-                          resample=ns.resample == "daily-to-weekly",
-                          asset_id=asset)
+    series = _read_series(ns, parse_series)
     if ns.window is not None:
         series = window(series, ns.window[0], ns.window[1])
     fit = est.fit_m_hat(series, t=ns.t, grid_spec=ns.grid)
     _warn_grid_edge(fit)
-    window_label = (f"{ns.window[0]}:{ns.window[1]}" if ns.window is not None
-                    else "all")
-    pairs = [("command", "estimate"), ("input", source),
-             ("output", ns.output), ("format", ns.format),
-             ("t", repr(ns.t)), ("window", window_label),
+    pairs = [("t", repr(ns.t)),
+             ("window", "%d:%d" % ns.window if ns.window else "all"),
              ("grid", _grid_label(ns.grid)), ("resample", ns.resample),
-             ("emit", ns.emit), ("asset", asset)]
-
+             ("emit", ns.emit), ("asset", series.asset_id)]
     rows, trace = fit.table, fit.grid
 
     def record():
@@ -350,9 +348,8 @@ def _cmd_estimate(ns) -> str:
 def _cmd_synth(ns) -> str:
     spec = SynthSpec(m=ns.m, t=ns.t, n=ns.n, seed=ns.seed)
     series = sample_displacements(spec)
-    pairs = [("command", "synth"), ("output", ns.output),
-             ("format", ns.format), ("m", repr(ns.m)), ("t", repr(ns.t)),
-             ("n", str(ns.n)), ("seed", str(ns.seed))]
+    pairs = [("m", repr(ns.m)), ("t", repr(ns.t)), ("n", str(ns.n)),
+             ("seed", str(ns.seed))]
     # no text view: the displacement table IS the artifact, which keeps
     # `synth | estimate --stdin` composable in text and csv alike
     return _render(ns, pairs, "series",
@@ -368,8 +365,7 @@ def _cmd_predict(ns) -> str:
         raise UsageError("predict needs --prior-close (flag or config file)")
     ratio = extreme_displacement(OscillatorParams(m=m_hat, t=t))
     points = bt.predict_extreme_points(m_hat, t, prior)
-    pairs = [("command", "predict"), ("output", ns.output),
-             ("format", ns.format), ("m_hat", repr(m_hat)), ("t", repr(t)),
+    pairs = [("m_hat", repr(m_hat)), ("t", repr(t)),
              ("prior_close", repr(prior))]
     record = {"m_hat": m_hat, "t": t, "prior_close": prior,
               "predicted_extreme_ratio": ratio,
@@ -381,26 +377,20 @@ def _cmd_predict(ns) -> str:
 
 
 def _cmd_backtest(ns) -> str:
-    if ns.input is None:
-        raise UsageError("backtest needs --input PATH")
-    if ns.crash_week is None:
+    # a missing --input is reported first, a missing week before any read
+    if ns.input is not None and ns.crash_week is None:
         raise UsageError("backtest needs --crash-week (flag or config file)")
+    series = _read_series(ns, parse_prices)
     start, count = ns.window or (0, ns.train_count)
-    asset = ns.asset or _asset_label(ns.input)
-    series = parse_prices(_read_input(ns.input),
-                          resample=ns.resample == "daily-to-weekly",
-                          asset_id=asset)
     config = bt.BacktestConfig(crash_week_end=ns.crash_week,
                                train_start_index=start, train_count=count,
                                t=ns.t)
     r = bt.run_backtest(series, config, grid_spec=ns.grid)
     _warn_grid_edge(r.fit)
-    pairs = [("command", "backtest"), ("input", ns.input),
-             ("output", ns.output), ("format", ns.format),
-             ("t", repr(ns.t)), ("window", f"{start}:{count}"),
+    pairs = [("t", repr(ns.t)), ("window", f"{start}:{count}"),
              ("grid", _grid_label(ns.grid)),
              ("crash_week", ns.crash_week.isoformat()),
-             ("resample", ns.resample), ("asset", asset)]
+             ("resample", ns.resample), ("asset", series.asset_id)]
 
     def text():
         return [("asset", r.asset_id), ("m_hat", r.m_hat, ".4f"),
@@ -420,74 +410,64 @@ def _cmd_backtest(ns) -> str:
 
 
 def build_parser(config: dict) -> argparse.ArgumentParser:
-    """The CLI parser; `config` (typed config-file values) supplies the
-    defaults of the flags it names, so flags > config file > defaults."""
-    parser = _Parser(
-        prog="oscmarkets",
-        description="Oscillator model of weekly price displacements: "
-                    "estimate inertial coefficients, bound extreme moves.",
-    )
+    """The CLI parser; `config` (typed config-file values) is every
+    subcommand's defaults, so flags > config file > defaults."""
+    parser = _Parser(prog="oscmarkets", description=(
+        "Oscillator model of weekly price displacements: "
+        "estimate inertial coefficients, bound extreme moves."))
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--input": dict(help="input CSV path, or - for stdin"),
+        "--resample": dict(choices=("none", "daily-to-weekly"),
+                           default="none"),
+        "--output": dict(default="-", help="output path (default: stdout)"),
+        "--format": dict(choices=("text", "csv", "structured"),
+                         default="text"),
+        "--t": dict(type=_positive_float, default=1.0),
+        "--window": dict(type=_window_value, metavar="START:COUNT",
+                         help="weeks fitted (default: all; backtest 0:100)"),
+        "--grid": dict(type=_grid_value, metavar="LO:HI:N"),
+    }
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", help="input CSV path, or - for stdin")
-            p.add_argument("--resample", choices=("none", "daily-to-weekly"),
-                           default="none")
-        p.add_argument("--output", default="-",
-                       help="output path (default: stdout)")
-        p.add_argument("--format", choices=("text", "csv", "structured"),
-                       default="text")
+    def command(name, handler, flags, help):
+        p = sub.add_parser(name, help=help)
+        for flag in flags.split():
+            p.add_argument(flag, **shared[flag])
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("ingest", parents=[], help="parse and resample prices")
-    common(p)
+    reads = "--input --resample --output --format"
+    fits = reads + " --t --window --grid"
+    p = command("ingest", _cmd_ingest, reads, "parse and resample prices")
     p.add_argument("--emit", choices=("prices", "displacements"),
                    default="displacements",
                    help="csv/structured payload (default: displacements)")
-    p.add_argument("--asset", help="asset label (default: input file stem)")
-    p.set_defaults(handler=_cmd_ingest)
 
-    p = sub.add_parser("estimate", help="fit the inertial coefficient")
-    common(p)
+    p = command("estimate", _cmd_estimate, fits,
+                "fit the inertial coefficient")
     p.add_argument("--stdin", action="store_true",
                    help="read displacements or prices from stdin")
-    p.add_argument("--t", type=_positive_float, default=config.get("t", 1.0))
-    p.add_argument("--window", type=_window_value, metavar="START:COUNT")
-    p.add_argument("--grid", type=_grid_value, metavar="LO:HI:N",
-                   default=config.get("grid"))
     p.add_argument("--emit", choices=("table", "grid"), default="table",
                    help="csv payload (default: threshold table)")
-    p.set_defaults(handler=_cmd_estimate)
 
-    p = sub.add_parser("synth", help="draw synthetic displacements")
-    common(p, needs_input=False)
+    p = command("synth", _cmd_synth, "--output --format --t",
+                "draw synthetic displacements")
     p.add_argument("--m", type=_positive_float, required=True)
-    p.add_argument("--t", type=_positive_float, default=config.get("t", 1.0))
     p.add_argument("--n", type=_count_value, default=100)
-    p.add_argument("--seed", type=_seed_value, default=config.get("seed", 0))
-    p.set_defaults(handler=_cmd_synth)
+    p.add_argument("--seed", type=_seed_value, default=0)
 
-    p = sub.add_parser("predict", help="extreme move in price points")
-    common(p, needs_input=False)
-    p.add_argument("--m-hat", type=_positive_float,
-                   default=config.get("m_hat"))
-    p.add_argument("--prior-close", type=_positive_float,
-                   default=config.get("prior_close"))
-    p.add_argument("--t", type=_positive_float, default=config.get("t", 1.0))
-    p.set_defaults(handler=_cmd_predict)
+    p = command("predict", _cmd_predict, "--output --format --t",
+                "extreme move in price points")
+    p.add_argument("--m-hat", type=_positive_float)
+    p.add_argument("--prior-close", type=_positive_float)
 
-    p = sub.add_parser("backtest", help="crash-week bound check")
-    common(p)
-    p.add_argument("--crash-week", type=_date_value, metavar="YYYY-MM-DD",
-                   default=config.get("crash_week"))
-    p.add_argument("--window", type=_window_value, metavar="START:COUNT",
-                   help="training window (default 0:100)")
-    p.add_argument("--t", type=_positive_float, default=config.get("t", 1.0))
-    p.add_argument("--grid", type=_grid_value, metavar="LO:HI:N",
-                   default=config.get("grid"))
-    p.add_argument("--asset", help="asset label (default: input file stem)")
-    p.set_defaults(handler=_cmd_backtest,
-                   train_count=config.get("train_count", 100))
+    p = command("backtest", _cmd_backtest, fits, "crash-week bound check")
+    p.add_argument("--crash-week", type=_date_value, metavar="YYYY-MM-DD")
+    p.set_defaults(train_count=100)
+
+    # last, so that no add_argument default overrides a config value
+    for p in sub.choices.values():
+        p.set_defaults(**config)
     return parser
 
 

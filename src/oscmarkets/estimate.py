@@ -129,8 +129,8 @@ def m_week(rho: float, x_w: float, t: float = 1.0) -> float:
     """Per-week inversion of the tail law: m_w = 2t (erfc_inv(sqrt(rho))/|x_w|)^2.
 
     rho = 0 would demand an infinite coefficient and is rejected, as are a
-    zero displacement (the inversion divides by |x_w|) and a non-finite
-    one or t.
+    zero displacement (the inversion divides by |x_w|), a non-finite one
+    or t, and a displacement so small that m_w overflows.
     """
     t = positive("t", t)
     if rho == 0.0:
@@ -139,7 +139,8 @@ def m_week(rho: float, x_w: float, t: float = 1.0) -> float:
         raise DomainError(f"rho must lie in (0, 1], got {rho}")
     if x_w == 0.0:
         raise DomainError("zero displacement cannot be inverted")
-    return float(_invert(rho, finite("x_w", x_w), t))
+    with np.errstate(over="ignore"):
+        return finite("m_w", _invert(rho, finite("x_w", x_w), t))
 
 
 def _invert(rho: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:

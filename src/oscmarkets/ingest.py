@@ -274,8 +274,9 @@ _DATE_SHAPE = np.frombuffer(b"0000-00-00,", np.uint8)
 def _plain_chunk(chunk: str, width: int, idx: list[int]):
     """The date and float columns of the lines of `chunk`, or None unless
     every line is plain (see _plain_columns)."""
-    # surrogatepass: a lone surrogate (a stray byte read from stdin) is
-    # left for float() or the date check to reject, as the cell path does
+    # surrogatepass: a lone surrogate (only a str passed to the library can
+    # hold one) is left for float() or the date check to reject, as the
+    # cell path does
     raw = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)
     # commas per line, so that a short line and a long one cannot cancel
     ends = np.append(np.flatnonzero(raw == ord("\n")), raw.size)

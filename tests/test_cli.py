@@ -32,7 +32,7 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(argv, close_stdin=False,
+def run_process(argv, close_stdin=False, stdin=None,
                 entry=("-c", "from oscmarkets.cli import run; run()"), **env):
     """Run the CLI in a fresh interpreter; return (code, stdout, stderr)."""
     child_env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV}
@@ -40,7 +40,7 @@ def run_process(argv, close_stdin=False,
     child_env.update(env)
     proc = subprocess.run(
         [sys.executable, *entry, *argv], env=child_env, capture_output=True,
-        text=True, timeout=120,
+        text=True, timeout=120, stdin=stdin,
         preexec_fn=(lambda: os.close(0)) if close_stdin else None)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -495,6 +495,19 @@ class TestExitCodes:
     def test_usage_no_command(self, capsys):
         assert run(capsys, )[0] == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["ingest"], "ingest needs --input PATH"),
+        (["estimate"], "estimate needs --input PATH or --stdin"),
+        (["backtest"], "backtest needs --input PATH"),
+        (["backtest", "--crash-week", "2004-12-06"],
+         "backtest needs --input PATH"),
+        # the missing week is reported before the input is read
+        (["backtest", "--input", "no-such.csv"],
+         "backtest needs --crash-week (flag or config file)")])
+    def test_usage_no_input(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
     def test_usage_bad_flag_value(self, capsys):
         assert run(capsys, "estimate", "--input", str(QUIET),
                    "--t", "-1")[0] == 1
@@ -579,6 +592,19 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("data error: cannot read standard input: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("env", [{}, {"PYTHONIOENCODING": "latin-1"}])
+    def test_data_error_invalid_utf8_stdin(self, tmp_path, env):
+        # stdin is decoded as strictly as a file is, whatever the locale
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"date,close,note\n2001-01-05,100,\xff\n"
+                        b"2001-01-12,101,ok\n2001-01-19,102,ok\n")
+        want = run_process(["ingest", "--input", str(bad)], **env)
+        with open(bad, "rb") as fh:
+            got = run_process(["ingest", "--input", "-"], stdin=fh, **env)
+        assert got == want
+        assert want[:2] == (2, "") and want[2].count("\n") == 1
+        assert want[2].startswith("data error: input is not valid UTF-8: ")
 
     def test_closed_stdin_process(self):
         code, out, err = run_process(["estimate", "--stdin"],
