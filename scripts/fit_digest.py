@@ -25,8 +25,15 @@ SRC = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else
                    pathlib.Path(__file__).resolve().parents[1] / "src")
 sys.path.insert(0, str(SRC.resolve()))
 
+import oscmarkets  # noqa: E402
 from oscmarkets.estimate import fit_m_hat  # noqa: E402
 from oscmarkets.synth import SynthSpec, sample_displacements  # noqa: E402
+
+# an installed copy of the package must not stand in for SRC's
+if not pathlib.Path(oscmarkets.__file__).resolve().is_relative_to(
+        SRC.resolve()):
+    sys.exit(f"error: imported oscmarkets from {oscmarkets.__file__}, "
+             f"not from {SRC}")
 
 M_TRUE = (355.92, 977.73, 2513.76)
 SIZES = (100, 1000)

@@ -190,11 +190,11 @@ def _read_series(ns, parse):
     if stdin and sys.stdin is None:
         raise DataError("cannot read standard input: it is closed")
     try:
+        # bytes from either source, so both decode and end lines alike
         if stdin:
-            # bytes, decoded as strictly as a file's, whatever the locale
             text = _as_text(getattr(sys.stdin, "buffer", sys.stdin))
         else:
-            with open(ns.input, encoding="utf-8") as fh:
+            with open(ns.input, "rb") as fh:
                 text = _as_text(fh)
     except OSError as exc:
         where = "standard input" if stdin else f"input {ns.input}"

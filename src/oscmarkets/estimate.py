@@ -30,6 +30,17 @@ differently, so with this alignment every score equals, bit for bit, the
 score of the whole grid in one product on one thread, whatever the number
 of BLAS threads.
 
+The refinement scores its points ahead of need. In a golden-section state
+the last comparison fixes the next point, and the comparison after it
+picks one of two points to follow; one tail matrix holds all three, and
+the pass walks one or two steps through them. It traces only the points
+it visits, so a fit scores the sequential pass's points, in its order, in
+about half as many tail matrices. For bit-identical scores each point is
+math.exp of its log, as the sequential pass computed it (np.exp may round
+differently), and each row's product with the empirical curve is a
+one-row product of its own, since the BLAS rounds the rows of a multi-row
+product differently.
+
 r^2 is the squared Pearson correlation, so it lies in [0, 1], and a
 candidate whose tail curve is flat at float resolution scores exactly 0.
 A fit whose best r^2 is 0 carries no information and raises DomainError.
@@ -64,6 +75,7 @@ MAX_GRID_POINTS = 10 ** 6
 BRACKET_FACTOR = 4.0
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BLOCK_ELEMENTS = 1 << 16
+_TOL = 1e-9  # golden-section stop: bracket width in log m
 
 
 @dataclass(frozen=True)
@@ -162,18 +174,21 @@ def _tail_matrix(m_values: np.ndarray, thresholds: np.ndarray,
     return e
 
 
-def _score_rows(pr: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def _score_rows(pr: np.ndarray, rho: np.ndarray,
+                rowwise: bool = False) -> np.ndarray:
     """Per-row r^2 of theoretical curves against the empirical curve.
 
     Rows whose curve is flat at float resolution (candidate m far outside
     the data's scale) score 0 rather than raising: they are legitimate
-    grid members, just hopeless ones.
+    grid members, just hopeless ones. `rowwise` takes each row's product
+    with the empirical curve on its own, as a one-row matrix.
     """
     oc = rho - rho.mean()
     ss_o = float(oc @ oc)
     pc = pr - pr.mean(axis=1, keepdims=True)
     ss_p = np.einsum("ij,ij->i", pc, pc)
-    num = pc @ oc
+    num = (np.concatenate([pc[i:i + 1] @ oc for i in range(len(pc))])
+           if rowwise else pc @ oc)
     with np.errstate(invalid="ignore", divide="ignore"):
         r2 = np.where(ss_p > 0.0, (num * num) / (ss_p * ss_o), 0.0)
     return np.minimum(r2, 1.0)
@@ -182,6 +197,14 @@ def _score_rows(pr: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def _block_rows(n_thresholds: int) -> int:
     """Grid rows per scoring block: about _BLOCK_ELEMENTS, a multiple of 8."""
     return max(8, (_BLOCK_ELEMENTS // n_thresholds) // 8 * 8)
+
+
+def _next_points(a: float, b: float, c: float, d: float) -> tuple:
+    """The point the golden-section step after state a < c < d < b will
+    evaluate, for each outcome of its comparison; none if it stops first."""
+    if b - a > _TOL:
+        return d - _INVPHI * (d - a), c + _INVPHI * (b - c)
+    return ()
 
 
 def _score_grid(candidates: np.ndarray, thresholds: np.ndarray,
@@ -244,29 +267,36 @@ def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
 
         extra_m: list[float] = []
         extra_r2: list[float] = []
+        known: dict[float, float] = {}  # r^2 by log m, scored ahead of need
 
-        def evaluate(log_m: float) -> float:  # traced r^2 at exp(log_m)
-            m = math.exp(log_m)
-            r2 = float(_score_grid(np.array([m]), thresholds, rho, t)[0])
-            extra_m.append(m)
-            extra_r2.append(r2)
-            return r2
+        def evaluate(log_m: float, *ahead: float) -> float:
+            # traced r^2 at exp(log_m); on a miss, score log_m and the
+            # points `ahead` in one tail matrix (see module docstring)
+            if log_m not in known:
+                batch = (log_m, *ahead)
+                m = np.array([math.exp(x) for x in batch])
+                r2 = _score_rows(_tail_matrix(m, thresholds, t), rho,
+                                 rowwise=True)
+                known.update(zip(batch, r2.tolist()))
+            extra_m.append(math.exp(log_m))
+            extra_r2.append(known[log_m])
+            return known[log_m]
 
         # one golden-section pass around the best candidate, in log space
         a = math.log(candidates[max(best - 1, 0)])
         b = math.log(candidates[min(best + 1, grid_spec.n - 1)])
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
-        fc, fd = evaluate(c), evaluate(d)
-        while b - a > 1e-9:
+        fc, fd = evaluate(c, d), evaluate(d)
+        while b - a > _TOL:
             if fc >= fd:  # keep the left interval on ties: smaller m wins
                 b, d, fd = d, c, fc
                 c = b - _INVPHI * (b - a)
-                fc = evaluate(c)
+                fc = evaluate(c, *_next_points(a, b, c, d))
             else:
                 a, c, fc = c, d, fd
                 d = a + _INVPHI * (b - a)
-                fd = evaluate(d)
+                fd = evaluate(d, *_next_points(a, b, c, d))
 
         m_all = np.concatenate([candidates, extra_m])
         order = np.argsort(m_all, kind="stable")

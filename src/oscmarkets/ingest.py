@@ -11,13 +11,13 @@ A series is a set of numpy columns: `week_end` as datetime64[D] and the
 prices and ratios as float64. Each constructor validates its columns once,
 vectorized, then marks them read-only, so a series that exists is valid.
 Parsers hand whole columns to the constructor; a column check that fails
-names the input line of the first bad row. Plain text (no quote or CR,
-no blank or comment line after the header, every row exactly as wide as
-the header, `YYYY-MM-DD` dates and finite numbers) is cut into whole
-columns at once. Anything else, and plain text that fails a check, is
-read cell by cell; that reading defines a valid cell, and the column
-pass must match it bit for bit. A date is `YYYY-MM-DD` on every Python
-version.
+names the input line of the first bad row. Every CRLF or lone CR reads
+as LF. Plain text (no quote, no blank or comment line after the header,
+every row exactly as wide as the header, `YYYY-MM-DD` dates and finite
+numbers) is cut into whole columns at once. Anything else, and plain
+text that fails a check, is read cell by cell; that reading defines a
+valid cell, and the column pass must match it bit for bit. A date is
+`YYYY-MM-DD` on every Python version.
 
 Series are written as CSV with headers `date,close` and
 `week_end,x_a,x_b,ratio`, dates as ISO days and floats with repr, so a
@@ -178,7 +178,8 @@ class DisplacementSeries:
 
 
 def _as_text(source: TextSource) -> str:
-    """The one decoding step for every input: UTF-8, BOM dropped."""
+    """The one decoding step for every input: UTF-8, BOM dropped, and
+    CRLF and lone CR line ends (even inside a quoted cell) read as LF."""
     try:
         if hasattr(source, "read"):
             source = source.read()
@@ -186,6 +187,8 @@ def _as_text(source: TextSource) -> str:
             source = source.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataError(f"input is not valid UTF-8: {exc}") from None
+    if "\r" in source:
+        source = source.replace("\r\n", "\n").replace("\r", "\n")
     return source.removeprefix("\ufeff")
 
 
@@ -315,9 +318,10 @@ def _plain_columns(text: str, header_line: int, width: int, idx: list[int]):
     """The columns _cell_columns would return for the rows after line
     `header_line` of `text`, cut whole; None unless every row is plain.
 
-    `text` holds no quote and no CR, so its rows are its lines and its
-    cells the text between commas. Plain rows have exactly `width` cells,
-    and no `#` leads the first (that row is a comment to _skip);
+    `text` holds no quote, and no CR after _as_text, so its rows are its
+    lines and its cells the text between commas. Plain rows have exactly
+    `width` cells, and no `#` leads the first (that row is a comment to
+    _skip);
     the cell at idx[0] is `YYYY-MM-DD` with a year after 0 (the one form
     numpy and _iso_date read alike) and the others read as
     finite numbers through float(), as the per-cell path reads them.
@@ -369,7 +373,7 @@ def _parse(source: TextSource, asset_id: str, *classes):
     try:
         cls, width, idx = _header(reader, classes)
         columns = None
-        if '"' not in text and "\r" not in text:
+        if '"' not in text:
             columns = _plain_columns(text, reader.line_num, width, idx)
         if columns is None:
             columns = _cell_columns(reader, width, idx, cls.header)

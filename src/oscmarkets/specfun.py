@@ -9,13 +9,17 @@ resulting relative error is ~|z|^2 * eps, i.e. below 1e-13 for |z| <= 28,
 far inside this module's 1e-12 budget), and the two exponentials of the
 large-argument branch are fused into one.
 
-The kernel evaluates Horner's scheme in place, in a few reused buffers. An
-input wholly inside the small-argument branch, as most blocks of a fit's
-tail matrix are, is evaluated without a gather or a scatter; otherwise each
-branch gathers its elements, and the large-argument branch evaluates only
-the rational that applies to each element. Every element goes through the
-same floating-point operations in the same order whichever path it takes,
-so the results do not depend on how an input is split into blocks.
+The kernel evaluates Horner's scheme in place, in a few reused buffers.
+Where at most a quarter of the input is >= 0.84375, as in most blocks of
+a fit's tail matrix, the small-argument formula runs over the whole input
+with no gather or scatter (its overflows are silenced); only the elements
+>= 0.84375 are then gathered, sent through the mid, large and >= 28
+branches, and scattered back over it. Otherwise each branch gathers its
+own elements, which is faster once the small ones are fewer than about
+three quarters. The large-argument branch evaluates only the rational
+that applies to each element. Every element goes through the same
+floating-point operations in the same order whichever path it takes, so
+the results do not depend on how an input is split into blocks.
 
 ``erfc_inv`` starts from the classic rational approximation of the normal
 quantile and polishes with three Halley iterations on ``erfc``, which is
@@ -160,20 +164,8 @@ def _erfc_small(x: np.ndarray) -> np.ndarray:
     return z
 
 
-def _erfc_core(a: np.ndarray) -> np.ndarray:
-    """erfc on non-negative arguments, elementwise (see module docstring)."""
-    a = np.asarray(a)
-    if a.ndim == 0:
-        return _erfc_core(a.reshape(1)).reshape(())
-    if a.size and a.max() < 0.84375:
-        return _erfc_small(a)
-    out = np.empty_like(a)
-
-    small = a < 0.84375
-    if small.any():
-        out[small] = _erfc_small(a[small])
-
-    mid = (a >= 0.84375) & (a < 1.25)
+def _erfc_rest(a: np.ndarray, out: np.ndarray, mid: np.ndarray) -> None:
+    """erfc into `out` wherever a >= 0.84375; `mid` marks those < 1.25."""
     if mid.any():
         s = a[mid]
         s -= 1.0
@@ -203,6 +195,28 @@ def _erfc_core(a: np.ndarray) -> np.ndarray:
         out[large] = e
 
     out[a >= 28.0] = 0.0  # underflows past the smallest double
+
+
+def _erfc_core(a: np.ndarray) -> np.ndarray:
+    """erfc on non-negative arguments, elementwise (see module docstring)."""
+    a = np.asarray(a)
+    if a.ndim == 0:
+        return _erfc_core(a.reshape(1)).reshape(())
+    if a.size and a.max() < 0.84375:
+        return _erfc_small(a)
+    rest = a >= 0.84375
+    if 4 * np.count_nonzero(rest) > a.size:  # gather every branch
+        out = np.empty_like(a)
+        small = ~rest
+        out[small] = _erfc_small(a[small])
+        _erfc_rest(a, out, rest & (a < 1.25))
+        return out
+    with np.errstate(all="ignore"):  # overwritten where a >= 0.84375
+        out = _erfc_small(a)
+    a = a[rest]
+    gathered = np.empty_like(a)
+    _erfc_rest(a, gathered, a < 1.25)
+    out[rest] = gathered
     return out
 
 

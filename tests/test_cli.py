@@ -491,6 +491,47 @@ class TestByteOrderMark:
         assert "m_hat=977.73" in out.splitlines()[0]
 
 
+class TestLineEnds:
+    """LF, CRLF and lone-CR line ends read alike, from a file or stdin."""
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    @pytest.mark.parametrize("command", ["ingest", "estimate", "backtest"])
+    def test_same_body_and_exit(self, capsys, tmp_path, monkeypatch,
+                                command, newline):
+        data = QUIET.read_bytes().replace(b"\n", newline)
+        path = tmp_path / QUIET.name
+        path.write_bytes(data)
+        extra = ("--crash-week", "2004-12-06") if command == "backtest" else ()
+
+        def body(*source):
+            # the output without its config echo, which names the source,
+            # and with backtest's asset column, the file stem or "stdin"
+            code, out, err = run(capsys, command, *source, "--format", "csv",
+                                 *extra)
+            out = out.split("\n", 1)[-1].replace("\nstdin,", "\n")
+            return code, out.replace(f"\n{QUIET.stem},", "\n"), err
+
+        want = body("--input", str(QUIET))
+        assert want[0] == 0 and want[2] == ""
+        assert body("--input", str(path)) == want
+        sources = [("--input", "-")]
+        if command == "estimate":
+            sources.append(("--stdin",))
+        for source in sources:
+            monkeypatch.setattr("sys.stdin",
+                                io.TextIOWrapper(io.BytesIO(data)))
+            assert body(*source) == want
+
+    def test_bad_row_same_exit(self, capsys, tmp_path, monkeypatch):
+        data = b"date,close\r2001-01-05,100\r2001-01-12,x\r"
+        path = tmp_path / "cr.csv"
+        path.write_bytes(data)
+        want = run(capsys, "ingest", "--input", str(path))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert run(capsys, "ingest", "--input", "-") == want
+        assert want == (2, "", "data error: line 3: bad close 'x'\n")
+
+
 class TestExitCodes:
     def test_usage_no_command(self, capsys):
         assert run(capsys, )[0] == 1

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oscmarkets.estimate as estimate
 from oscmarkets.errors import DataError, DomainError
 from oscmarkets.estimate import (
+    DEFAULT_GRID_POINTS,
     _block_rows,
     _columns,
     _frequencies,
@@ -249,7 +251,24 @@ class TestFitMHat:
         result = fit_m_hat(sample_displacements(SynthSpec(m=500.0, n=50,
                                                           seed=1)),
                            grid_spec=GridSpec(n=200))
-        assert len(result.grid) > 200
+        m, r2 = result.grid.m, result.grid.r2
+        assert (m[1:] >= m[:-1]).all()
+        candidates = np.geomspace(m[0], m[-1], 200)
+        on_grid = np.isin(m, candidates)
+        assert np.array_equal(m[on_grid], candidates)
+        best = int(np.argmax(r2[on_grid]))
+        assert 0 < best < 199
+        extra = m[~on_grid]
+        # every refinement point lies strictly inside the best cell pair,
+        # and the pass ends once that log bracket shrinks below 1e-9
+        assert candidates[best - 1] < extra.min()
+        assert extra.max() < candidates[best + 1]
+        width = math.log(candidates[best + 1] / candidates[best - 1])
+        steps = math.ceil(math.log(1e-9 / width)
+                          / math.log((math.sqrt(5.0) - 1.0) / 2.0))
+        assert len(extra) in (steps + 1, steps + 2, steps + 3)
+        assert result.r2 >= r2[on_grid].max()
+        assert result.r2 == r2.max() and result.m_hat == m[np.argmax(r2)]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tail_underflow_outlier_week(self, seed):
@@ -434,6 +453,109 @@ class TestBlockScoring:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+
+
+def reference_trace(sample, t, lo, hi, n):
+    """The sorted (m, r2) trace of fit_m_hat(sample, t) on an n-candidate
+    grid from lo to hi, and the best candidate's index, with the
+    golden-section pass scoring one point per tail matrix, in order."""
+    abs_x = np.abs(sample.ratio)
+    thresholds = np.unique(abs_x[abs_x > 0.0])
+    rho = _frequencies(np.sort(abs_x), thresholds)
+    with np.errstate(over="ignore"):
+        candidates = np.geomspace(lo, hi, n)
+        scores = _score_grid(candidates, thresholds, rho, t)
+        best = int(np.argmax(scores))
+        extra_m, extra_r2 = [], []
+
+        def evaluate(log_m):
+            m = math.exp(log_m)
+            r2 = float(_score_grid(np.array([m]), thresholds, rho, t)[0])
+            extra_m.append(m)
+            extra_r2.append(r2)
+            return r2
+
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+        a = math.log(candidates[max(best - 1, 0)])
+        b = math.log(candidates[min(best + 1, n - 1)])
+        c = b - invphi * (b - a)
+        d = a + invphi * (b - a)
+        fc, fd = evaluate(c), evaluate(d)
+        while b - a > 1e-9:
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = evaluate(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = evaluate(d)
+    m_all = np.concatenate([candidates, extra_m])
+    order = np.argsort(m_all, kind="stable")
+    return m_all[order], np.concatenate([scores, extra_r2])[order], best
+
+
+class TestBatchedRefinement:
+    """The refinement scores each golden-section point ahead, up to three
+    per tail matrix, and keeps only the points the sequential pass scores:
+    its trace equals the one-point-at-a-time pass bit for bit."""
+
+    @staticmethod
+    def assert_trace(result, m, r2):
+        assert np.array_equal(bits(result.grid.m), bits(m))
+        assert np.array_equal(bits(result.grid.r2), bits(r2))
+        assert result.r2 == r2.max()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_equals_sequential(self, data):
+        n = data.draw(st.integers(10, 1500))
+        m_true = data.draw(st.sampled_from((355.92, 977.73, 2513.76)))
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        t = data.draw(st.sampled_from((0.25, 1.0, 2.5)))
+        grid_n = data.draw(st.sampled_from((2000, 50, 7)))
+        sample = sample_displacements(SynthSpec(m=m_true, n=n, seed=seed))
+        result = fit_m_hat(sample, t, GridSpec(n=grid_n))
+        # the first and last rows of the trace are the bracket ends
+        lo, hi = result.grid.m[[0, -1]]
+        m, r2, _ = reference_trace(sample, t, lo, hi, grid_n)
+        self.assert_trace(result, m, r2)
+
+    @pytest.mark.parametrize("lo, hi, edge", [(5000.0, 9000.0, 0),
+                                              (10.0, 100.0, 49)])
+    @pytest.mark.parametrize("n, t", [(10, 1.0), (100, 0.5), (1500, 2.0)])
+    def test_best_at_grid_edge(self, lo, hi, edge, n, t):
+        sample = sample_displacements(SynthSpec(m=977.73, n=n, seed=1))
+        # scale the bracket with t, which scales every m_w by t
+        result = fit_m_hat(sample, t, GridSpec(lo=lo * t, hi=hi * t, n=50))
+        m, r2, best = reference_trace(sample, t, lo * t, hi * t, 50)
+        assert best == edge
+        self.assert_trace(result, m, r2)
+
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    def test_tail_matrices_per_point(self, n, monkeypatch):
+        rows = []
+
+        def counted(m_values, thresholds, t):
+            rows.append(m_values.size)
+            return tail(m_values, thresholds, t)
+
+        tail = estimate._tail_matrix
+        monkeypatch.setattr(estimate, "_tail_matrix", counted)
+        sample = sample_displacements(SynthSpec(m=977.73, n=n, seed=4))
+        result = fit_m_hat(sample)
+        # grid blocks hold at least 8 rows; the last call is the table's pr
+        assert rows[-1] == 1
+        batches = [k for k in rows[:-1] if k < 8]
+        assert max(batches) <= 3
+        points = len(result.grid) - DEFAULT_GRID_POINTS
+        assert points > 20
+        assert len(batches) <= 1 + math.ceil((points - 2) / 2)
+        assert sum(batches) >= points
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
 def result_with_table(x, rho, pr, r2=0.9):

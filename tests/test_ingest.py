@@ -525,14 +525,28 @@ class TestColumnPass:
             parse_prices(text)
         assert str(exc.value) == r"line 3: bad close '1\udcff0'"
 
-    @pytest.mark.parametrize("text", [
-        'date,close\n2001-01-05,"100"\n2001-01-12,110\n',
-        "date,close\r\n2001-01-05,100\r\n2001-01-12,110\r\n",
-    ])
-    def test_quoted_and_crlf_read_per_cell(self, text):
+    def test_quoted_reads_per_cell(self):
+        text = 'date,close\n2001-01-05,"100"\n2001-01-12,110\n'
         with mock.patch.object(ingest, "_plain_columns") as plain:
             assert parse_prices(text).close.tolist() == [100.0, 110.0]
         plain.assert_not_called()
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_cr_line_ends_read_as_columns(self, newline):
+        text = "date,close\n2001-01-05,100\n2001-01-12,110\n"
+        assert ingest._as_text(text.replace("\n", newline)) == text
+        with mock.patch.object(ingest, "_cell_columns") as per_cell:
+            got = parse_prices(text.replace("\n", newline).encode())
+        per_cell.assert_not_called()
+        assert got.close.tolist() == [100.0, 110.0]
+        assert np.array_equal(got.week_end, parse_prices(text).week_end)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_cr_in_quoted_cell_reads_as_lf(self, newline):
+        text = f'date,close,note\n2001-01-05,100,"a{newline}b"\n' \
+               f'2001-01-12,110,c\n'
+        assert ingest._as_text(text) == text.replace(newline, "\n")
+        assert parse_prices(text).close.tolist() == [100.0, 110.0]
 
     @pytest.mark.parametrize("body, message", [
         ("0000-01-07,100\n2001-01-12,110\n", "line 3: bad date '0000-01-07'"),

@@ -5,6 +5,7 @@ Reference values were computed offline with mpmath at 40 digits
 """
 
 import csv
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oscmarkets import specfun
 from oscmarkets.errors import DomainError
 from oscmarkets.specfun import _erfc_core, erfc, erfc_inv
 
@@ -126,6 +128,105 @@ class TestErfcCore:
         _erfc_core(a)
         _erfc_core(a[:20])  # a view, wholly in the small branch
         assert np.array_equal(a, before)
+
+
+def gathered_erfc_core(a):
+    """_erfc_core as first written: every branch gathers its own elements
+    and scatters them back, and no branch sees another's elements."""
+    a = np.asarray(a)
+    if a.ndim == 0:
+        return gathered_erfc_core(a.reshape(1)).reshape(())
+    if a.size and a.max() < 0.84375:
+        return specfun._erfc_small(a)
+    out = np.empty_like(a)
+    small = a < 0.84375
+    if small.any():
+        out[small] = specfun._erfc_small(a[small])
+    mid = (a >= 0.84375) & (a < 1.25)
+    if mid.any():
+        s = a[mid]
+        s -= 1.0
+        y = specfun._polyval(specfun._PA, s)
+        y /= specfun._polyval(specfun._QA, s)
+        out[mid] = np.subtract(1.0 - specfun._ERX, y, out=y)
+    large = (a >= 1.25) & (a < 28.0)
+    if large.any():
+        x = a[large]
+        s = x * x
+        np.divide(1.0, s, out=s)
+        near = x < (1.0 / 0.35)
+        ratio = np.empty_like(x)
+        for sel, num, den in ((near, specfun._RA, specfun._SA),
+                              (~near, specfun._RB, specfun._SB)):
+            if sel.any():
+                ss = s[sel]
+                y = specfun._polyval(num, ss)
+                y /= specfun._polyval(den, ss)
+                ratio[sel] = y
+        e = np.negative(x, out=s)
+        e *= x
+        e -= 0.5625
+        e += ratio
+        np.exp(e, out=e)
+        e /= x
+        out[large] = e
+    out[a >= 28.0] = 0.0
+    return out
+
+
+# each branch edge, its two neighbouring doubles, and values past the
+# point where x * x overflows in the small-argument formula
+EDGES = [0.0, 0.25, 0.84375, 1.25, 1.0 / 0.35, 28.0]
+BOUNDARY = np.unique(np.concatenate(
+    [EDGES, np.nextafter(EDGES, -1.0)[1:], np.nextafter(EDGES, 3e1),
+     [5e-324, 1e-300, 1e154, 1e200, np.finfo(np.float64).max]]))
+
+
+def mostly_small(a):
+    """Pad `a` with small arguments until at most a quarter is >= 0.84375,
+    where _erfc_core runs the small formula over the whole input."""
+    fill = np.linspace(0.0, 0.84, 3 * a.size)
+    return np.concatenate([a, fill])
+
+
+class TestErfcCoreMatchesGathered:
+    """The small formula run over the whole input, then overwritten where
+    a >= 0.84375, equals per-branch gathering bit for bit, and the
+    overwritten elements' overflows raise no warning; so does the path
+    taken when more than a quarter of the input is >= 0.84375."""
+
+    @staticmethod
+    def assert_same(a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _erfc_core(a)
+        want = gathered_erfc_core(a)
+        assert got.shape == want.shape
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_boundaries(self):
+        assert set(EDGES) <= set(BOUNDARY.tolist())
+        padded = mostly_small(BOUNDARY)
+        assert 4 * (BOUNDARY >= 0.84375).sum() > BOUNDARY.size
+        assert 4 * (padded >= 0.84375).sum() <= padded.size
+        for a in (BOUNDARY, padded):
+            self.assert_same(a)
+            self.assert_same(a[::-1].reshape(-1, 1) * np.ones(3))
+
+    @pytest.mark.parametrize("value", BOUNDARY.tolist())
+    def test_zero_dimensional(self, value):
+        self.assert_same(np.array(value))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+    def test_empty(self, shape):
+        self.assert_same(np.empty(shape))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.one_of(st.floats(0.0, 30.0), st.sampled_from(
+        BOUNDARY.tolist())), min_size=1, max_size=300), st.booleans())
+    def test_mixed_arrays(self, values, pad):
+        a = np.array(values)
+        self.assert_same(mostly_small(a) if pad else a)
 
 
 class TestErfcInv:
