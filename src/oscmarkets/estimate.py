@@ -21,14 +21,20 @@ the last candidate, within 1e-6 relative (`at_grid_edge`), the sign that
 the optimum may lie outside the searched bracket.
 
 The grid is scored in blocks of rows holding about 2^16 tail-matrix
-elements each, so every temporary (about 512 KB) stays in a core's L2
-cache and a fit needs O(block x T) memory rather than O(grid x T) for T
-thresholds. Blocks are 8-row aligned: each starts at a multiple of 8, and a
-trailing block shorter than 8 rows joins the one before it. The BLAS
-matrix-vector product behind r^2 rounds the rows of a short trailing group
-differently, so with this alignment every score equals, bit for bit, the
-score of the whole grid in one product on one thread, whatever the number
-of BLAS threads.
+elements each, so a fit needs O(block x T) memory rather than O(grid x T)
+for T thresholds. A fit allocates one erfc workspace (see the specfun
+module) for its largest block (`_grid_workspace`): four float64 rows of
+about 512 KB each and two bool rows. Every block, every refinement batch
+and the table's pr are computed in it, and `_score_rows` centres each block
+in place, so no block allocates a block-sized array. With fresh temporaries
+a block took about 2.5 MB of new pages (some 9,400 minor page faults per
+fit at N = 1000), more than a core's 2 MiB L2 cache; the reused rows are
+the same pages from block to block. Blocks are 8-row aligned: each starts
+at a multiple of 8, and a trailing block shorter than 8 rows joins the one
+before it. The BLAS matrix-vector product behind r^2 rounds the rows of a
+short trailing group differently, so with this alignment every score
+equals, bit for bit, the score of the whole grid in one product on one
+thread, whatever the number of BLAS threads.
 
 The refinement scores its points ahead of need. In a golden-section state
 the last comparison fixes the next point, and the comparison after it
@@ -61,7 +67,7 @@ import numpy as np
 
 from .errors import DataError, DomainError, finite, positive
 from .ingest import DisplacementSeries
-from .specfun import _erfc_core, erfc_inv
+from .specfun import _erfc_core, _workspace, erfc_inv
 
 __all__ = [
     "GridSpec",
@@ -161,15 +167,19 @@ def _invert(rho: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
     return 2.0 * t * z * z
 
 
-def _tail_matrix(m_values: np.ndarray, thresholds: np.ndarray,
-                 t: float) -> np.ndarray:
+def _tail_matrix(m_values: np.ndarray, thresholds: np.ndarray, t: float,
+                 ws: tuple) -> np.ndarray:
     """Pr(|x| >= X) for each (m, X) pair; shape (len(m), len(X)).
 
-    Arguments are guaranteed finite and non-negative here, so this goes
-    straight to the erfc core branch evaluation.
+    The result is a view of the erfc workspace `ws`, valid until its next
+    use. Arguments are guaranteed finite and non-negative here, so this
+    goes straight to the erfc core branch evaluation.
     """
-    z = np.sqrt(m_values / (2.0 * t))[:, None] * thresholds[None, :]
-    e = _erfc_core(z)
+    size = m_values.size * thresholds.size
+    z = ws[0][0, :size].reshape(m_values.size, thresholds.size)
+    np.multiply(np.sqrt(m_values / (2.0 * t))[:, None],
+                thresholds[None, :], out=z)
+    e = _erfc_core(z, ws)
     e *= e
     return e
 
@@ -178,17 +188,18 @@ def _score_rows(pr: np.ndarray, rho: np.ndarray,
                 rowwise: bool = False) -> np.ndarray:
     """Per-row r^2 of theoretical curves against the empirical curve.
 
-    Rows whose curve is flat at float resolution (candidate m far outside
-    the data's scale) score 0 rather than raising: they are legitimate
-    grid members, just hopeless ones. `rowwise` takes each row's product
-    with the empirical curve on its own, as a one-row matrix.
+    Centres `pr` in place. Rows whose curve is flat at float resolution
+    (candidate m far outside the data's scale) score 0 rather than raising:
+    they are legitimate grid members, just hopeless ones. `rowwise` takes
+    each row's product with the empirical curve on its own, as a one-row
+    matrix.
     """
     oc = rho - rho.mean()
     ss_o = float(oc @ oc)
-    pc = pr - pr.mean(axis=1, keepdims=True)
-    ss_p = np.einsum("ij,ij->i", pc, pc)
-    num = (np.concatenate([pc[i:i + 1] @ oc for i in range(len(pc))])
-           if rowwise else pc @ oc)
+    pr -= pr.mean(axis=1, keepdims=True)
+    ss_p = np.einsum("ij,ij->i", pr, pr)
+    num = (np.concatenate([pr[i:i + 1] @ oc for i in range(len(pr))])
+           if rowwise else pr @ oc)
     with np.errstate(invalid="ignore", divide="ignore"):
         r2 = np.where(ss_p > 0.0, (num * num) / (ss_p * ss_o), 0.0)
     return np.minimum(r2, 1.0)
@@ -197,6 +208,12 @@ def _score_rows(pr: np.ndarray, rho: np.ndarray,
 def _block_rows(n_thresholds: int) -> int:
     """Grid rows per scoring block: about _BLOCK_ELEMENTS, a multiple of 8."""
     return max(8, (_BLOCK_ELEMENTS // n_thresholds) // 8 * 8)
+
+
+def _grid_workspace(n_thresholds: int) -> tuple:
+    """An erfc workspace for any tail matrix of a fit: a scoring block with
+    a folded trailing block (up to 7 rows more), a refinement batch, pr."""
+    return _workspace((_block_rows(n_thresholds) + 7) * n_thresholds)
 
 
 def _next_points(a: float, b: float, c: float, d: float) -> tuple:
@@ -208,8 +225,9 @@ def _next_points(a: float, b: float, c: float, d: float) -> tuple:
 
 
 def _score_grid(candidates: np.ndarray, thresholds: np.ndarray,
-                rho: np.ndarray, t: float) -> np.ndarray:
-    """r^2 of every candidate, scored block by block (see module docstring)."""
+                rho: np.ndarray, t: float, ws: tuple) -> np.ndarray:
+    """r^2 of every candidate, scored block by block in the workspace `ws`
+    (see module docstring)."""
     n = candidates.size
     step = _block_rows(thresholds.size)
     scores = np.empty(n)
@@ -218,7 +236,7 @@ def _score_grid(candidates: np.ndarray, thresholds: np.ndarray,
         stop = start + step
         if n - stop < 8:  # fold a short trailing block into this one
             stop = n
-        pr = _tail_matrix(candidates[start:stop], thresholds, t)
+        pr = _tail_matrix(candidates[start:stop], thresholds, t, ws)
         scores[start:stop] = _score_rows(pr, rho)
         start = stop
     return scores
@@ -261,7 +279,8 @@ def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
                                   f"out of range: [{lo!r}, {hi!r}]")
 
         candidates = np.geomspace(lo, hi, grid_spec.n)
-        scores = _score_grid(candidates, thresholds, rho, t)
+        ws = _grid_workspace(thresholds.size)
+        scores = _score_grid(candidates, thresholds, rho, t, ws)
 
         best = int(np.argmax(scores))  # first max = smallest m on a tie
 
@@ -275,7 +294,7 @@ def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
             if log_m not in known:
                 batch = (log_m, *ahead)
                 m = np.array([math.exp(x) for x in batch])
-                r2 = _score_rows(_tail_matrix(m, thresholds, t), rho,
+                r2 = _score_rows(_tail_matrix(m, thresholds, t, ws), rho,
                                  rowwise=True)
                 known.update(zip(batch, r2.tolist()))
             extra_m.append(math.exp(log_m))
@@ -307,7 +326,7 @@ def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
         if not best_r2 > 0.0:  # every evaluated curve is flat
             raise DomainError("no grid candidate fits the sample")
 
-        pr_hat = _tail_matrix(np.array([m_hat]), thresholds, t)[0]
+        pr_hat = _tail_matrix(np.array([m_hat]), thresholds, t, ws)[0]
     edges = candidates[[0, -1]]
     return EstimationResult(
         m_hat=m_hat, r2=best_r2,

@@ -9,15 +9,26 @@ resulting relative error is ~|z|^2 * eps, i.e. below 1e-13 for |z| <= 28,
 far inside this module's 1e-12 budget), and the two exponentials of the
 large-argument branch are fused into one.
 
-The kernel evaluates Horner's scheme in place, in a few reused buffers.
-Where at most a quarter of the input is >= 0.84375, as in most blocks of
-a fit's tail matrix, the small-argument formula runs over the whole input
-with no gather or scatter (its overflows are silenced); only the elements
->= 0.84375 are then gathered, sent through the mid, large and >= 28
-branches, and scattered back over it. Otherwise each branch gathers its
-own elements, which is faster once the small ones are fewer than about
-three quarters. The large-argument branch evaluates only the rational
-that applies to each element. Every element goes through the same
+The kernel, ``_erfc_core``, writes into its workspace only: four float64
+rows and two bool rows as long as the largest input it serves
+(``_workspace``). Row 0 is the caller's, for the arguments if it likes;
+the result lands in row 1; rows 2 and 3 and the bool rows are scratch, and
+Horner's scheme, the quotients and the select run in them with ``out=``.
+Only the gathers allocate. A caller that evaluates many blocks passes one
+workspace to every call, so the blocks reuse its pages: with fresh
+temporaries each block faulted in new pages, and the temporaries
+overflowed a core's L2 cache. The public ``erfc`` sizes a workspace per
+call, and ``erfc_inv`` one for its three Halley steps.
+
+The elements >= 0.84375 are gathered first and sent through the mid,
+large and >= 28 branches in place, from the top down, while rows 1-3 are
+free. Where at most a quarter of the input is >= 0.84375, as in most
+blocks of a fit's tail matrix, the small-argument formula then runs over
+the whole input with no gather (its overflows are silenced), and the
+gathered results are scattered over it. Otherwise the small elements are
+gathered too, which is faster once they are fewer than about three
+quarters. The large-argument branch evaluates only the rational that
+applies to each element. Every element goes through the same
 floating-point operations in the same order whichever path it takes, so
 the results do not depend on how an input is split into blocks.
 
@@ -135,23 +146,33 @@ _SB = (
 _TWO_OVER_SQRT_PI = 1.12837916709551257390
 
 
-def _polyval(coeffs, x):
-    # Horner, highest degree first, evaluated in place in one fresh buffer;
-    # the same operations in the same order as acc = acc * x + c.
-    acc = np.multiply(x, coeffs[0])
-    acc += coeffs[1]
+def _workspace(size: int) -> tuple:
+    """Buffers for erfc on up to `size` elements (see module docstring)."""
+    return np.empty((4, size)), np.empty((2, size), dtype=bool)
+
+
+def _polyval(coeffs, x, out):
+    # Horner, highest degree first, evaluated in place in `out`; the same
+    # operations in the same order as acc = acc * x + c.
+    np.multiply(x, coeffs[0], out=out)
+    out += coeffs[1]
     for c in coeffs[2:]:
-        acc *= x
-        acc += c
-    return acc
+        out *= x
+        out += c
+    return out
 
 
-def _erfc_small(x: np.ndarray) -> np.ndarray:
-    """erfc on |x| < 0.84375 (1-d or more), in three reused buffers."""
-    z = x * x
-    y = _polyval(_PP, z)
-    xy = _polyval(_QQ, z)
-    y /= xy
+def _rational(num, den, s, y, d):
+    """num(s) / den(s) into y; d is scratch."""
+    _polyval(num, s, y)
+    y /= _polyval(den, s, d)
+    return y
+
+
+def _erfc_small(x, z, y, xy, mask):
+    """erfc on |x| < 0.84375 into z; y, xy and mask are scratch like x."""
+    np.multiply(x, x, out=z)
+    _rational(_PP, _QQ, z, y, xy)
     np.multiply(x, y, out=xy)
     # Below 1/4 plain subtraction is exact enough; above it the
     # half-based ordering avoids the cancellation in 1 - erf.
@@ -160,63 +181,75 @@ def _erfc_small(x: np.ndarray) -> np.ndarray:
     np.subtract(x, 0.5, out=y)
     y += xy
     np.subtract(0.5, y, out=y)  # 0.5 - (x*y + (x - 0.5))
-    np.copyto(z, y, where=x >= 0.25)
+    np.copyto(z, y, where=np.greater_equal(x, 0.25, out=mask))
     return z
 
 
-def _erfc_rest(a: np.ndarray, out: np.ndarray, mid: np.ndarray) -> None:
-    """erfc into `out` wherever a >= 0.84375; `mid` marks those < 1.25."""
-    if mid.any():
-        s = a[mid]
-        s -= 1.0
-        y = _polyval(_PA, s)
-        y /= _polyval(_QA, s)
-        out[mid] = np.subtract(1.0 - _ERX, y, out=y)
-
-    large = (a >= 1.25) & (a < 28.0)
-    if large.any():
-        x = a[large]
-        s = x * x
-        np.divide(1.0, s, out=s)
-        near = x < (1.0 / 0.35)
-        ratio = np.empty_like(x)
-        for sel, num, den in ((near, _RA, _SA), (~near, _RB, _SB)):
-            if sel.any():
-                ss = s[sel]
-                y = _polyval(num, ss)
-                y /= _polyval(den, ss)
-                ratio[sel] = y
-        e = np.negative(x, out=s)
-        e *= x
-        e -= 0.5625
-        e += ratio
-        np.exp(e, out=e)
-        e /= x
-        out[large] = e
-
-    out[a >= 28.0] = 0.0  # underflows past the smallest double
+def _erfc_large(x, s, y, d, num, den):
+    """erfc on [1.25, 28) into s: exp(-x^2 - 0.5625 + num(s)/den(s))/x,
+    s = 1/x^2, with the rational num/den for x's interval."""
+    np.multiply(x, x, out=s)
+    np.divide(1.0, s, out=s)
+    ratio = _rational(num, den, s, y, d)
+    e = np.negative(x, out=s)
+    e *= x
+    e -= 0.5625
+    e += ratio
+    np.exp(e, out=e)
+    e /= x
+    return e
 
 
-def _erfc_core(a: np.ndarray) -> np.ndarray:
-    """erfc on non-negative arguments, elementwise (see module docstring)."""
+def _erfc_rest(g: np.ndarray, s, y, d, sel) -> None:
+    """erfc in place over a 1-d g >= 0.84375; s, y, d and sel are scratch
+    rows at least as long as g.
+
+    The branches run from the top down, and each writes its results over
+    its own arguments. Those results are below 0.84375, so no later branch
+    picks one up, and one comparison selects each branch.
+    """
+    sel = sel[:g.size]
+    g[np.greater_equal(g, 28.0, out=sel)] = 0.0  # underflows past 5e-324
+    for lo, num, den in ((1.0 / 0.35, _RB, _SB), (1.25, _RA, _SA)):
+        x = g[np.greater_equal(g, lo, out=sel)]
+        if x.size:
+            g[sel] = _erfc_large(x, s[:x.size], y[:x.size], d[:x.size],
+                                 num, den)
+    x = g[np.greater_equal(g, 0.84375, out=sel)]
+    if x.size:  # erf(x) = erx + P(x - 1)/Q(x - 1)
+        x -= 1.0
+        y = _rational(_PA, _QA, x, y[:x.size], d[:x.size])
+        g[sel] = np.subtract(1.0 - _ERX, y, out=y)
+
+
+def _erfc_core(a: np.ndarray, ws=None) -> np.ndarray:
+    """erfc on non-negative arguments, elementwise, in the workspace `ws`
+    (one of its own if None). The result is a view of `ws`; `a` is only
+    read, and may be row 0 of `ws`."""
     a = np.asarray(a)
     if a.ndim == 0:
-        return _erfc_core(a.reshape(1)).reshape(())
-    if a.size and a.max() < 0.84375:
-        return _erfc_small(a)
-    rest = a >= 0.84375
-    if 4 * np.count_nonzero(rest) > a.size:  # gather every branch
-        out = np.empty_like(a)
-        small = ~rest
-        out[small] = _erfc_small(a[small])
-        _erfc_rest(a, out, rest & (a < 1.25))
-        return out
-    with np.errstate(all="ignore"):  # overwritten where a >= 0.84375
-        out = _erfc_small(a)
-    a = a[rest]
-    gathered = np.empty_like(a)
-    _erfc_rest(a, gathered, a < 1.25)
-    out[rest] = gathered
+        return _erfc_core(a.reshape(1), ws).reshape(())
+    n, shape = a.size, a.shape
+    floats, masks = _workspace(n) if ws is None else ws
+    r1, r2, r3 = floats[1:, :n]
+    out = r1.reshape(shape)
+    rest, sel = masks[0, :n].reshape(shape), masks[1, :n]
+    count = np.count_nonzero(np.greater_equal(a, 0.84375, out=rest))
+    if count:  # first, while rows 1-3 are free
+        g = a[rest]
+        _erfc_rest(g, r1, r2, r3, sel)
+    if 4 * count <= n:
+        with np.errstate(all="ignore"):  # overwritten where a >= 0.84375
+            _erfc_small(a, out, *(b.reshape(shape) for b in (r2, r3, sel)))
+    else:  # gather every branch
+        small = np.logical_not(rest, out=rest)
+        x = a[small]
+        k = x.size
+        # row 1 holds the scratch xy, which is dead before z lands there
+        out[small] = _erfc_small(x, r2[:k], r3[:k], r1[:k], sel[:k])
+        np.logical_not(small, out=rest)
+    if count:
+        out[rest] = g
     return out
 
 
@@ -254,8 +287,9 @@ def erfc_inv(p):
     x = -0.70711 * (
         (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t
     )
+    ws = _workspace(x.size)
     for _ in range(3):
-        err = _erfc_core(x) - pp
+        err = _erfc_core(x, ws) - pp
         x = x + err / (_TWO_OVER_SQRT_PI * np.exp(-x * x) - x * err)
 
     x = np.where(arr > 1.0, -x, x)

@@ -16,6 +16,7 @@ from oscmarkets.estimate import (
     _block_rows,
     _columns,
     _frequencies,
+    _grid_workspace,
     _score_grid,
     _score_rows,
     _tail_matrix,
@@ -27,7 +28,7 @@ from oscmarkets.estimate import (
 from oscmarkets.cli import main
 from oscmarkets.ingest import DisplacementSeries, write_displacements
 from oscmarkets.model import OscillatorParams, prob_at_least
-from oscmarkets.specfun import erfc_inv
+from oscmarkets.specfun import _workspace, erfc_inv
 from oscmarkets.synth import SynthSpec, sample_displacements
 
 # mpmath oracle, 40 dps: 2*(erfc_inv(sqrt(0.25))/0.03)^2
@@ -220,6 +221,12 @@ class TestFitMHat:
         xs = [r.x for r in result.table]
         assert xs == sorted(xs)
         assert result.r2 == max(r for _, r in result.grid)
+
+    def test_sample_left_alone(self):
+        sample = sample_displacements(SynthSpec(m=977.73, n=1000, seed=5))
+        before = sample.ratio.copy()
+        fit_m_hat(sample)
+        assert np.array_equal(bits(sample.ratio), bits(before))
 
     def test_zero_displacements_kept_in_counts(self):
         ratios = [0.0, 0.0, 0.01, -0.02, 0.03, 0.04, -0.05, 0.06, 0.07, 0.08]
@@ -422,6 +429,25 @@ class TestBlockScoring:
         assert rows >= 8 and rows % 8 == 0
         assert rows * n_thresholds <= max(1 << 16, 8 * n_thresholds)
 
+    @staticmethod
+    def grid(n, n_thresholds):
+        """Candidates, thresholds and empirical curve of a test grid whose
+        arguments z span every erfc branch, so blocks are all-small and
+        mixed."""
+        rng = np.random.default_rng(n_thresholds)
+        thresholds = np.unique(np.abs(rng.standard_normal(n_thresholds)))
+        thresholds *= 0.03
+        assert thresholds.size == n_thresholds
+        rho = np.arange(n_thresholds, 0, -1) / (n_thresholds + 1.0)
+        return np.geomspace(20.0, 2e5, n), thresholds, rho
+
+    @staticmethod
+    def assert_one_shot(scores, candidates, thresholds, rho):
+        ws = _workspace(candidates.size * thresholds.size)
+        one_shot = _score_rows(_tail_matrix(candidates, thresholds, 1.0, ws),
+                               rho)
+        assert np.array_equal(bits(scores), bits(one_shot))
+
     @pytest.mark.parametrize("n, n_thresholds", [
         (2000, 3),
         (2000, 100),
@@ -430,18 +456,36 @@ class TestBlockScoring:
         (17, 9000),  # one trailing row folded into the block
     ])
     def test_equals_one_shot(self, n, n_thresholds):
-        rng = np.random.default_rng(n_thresholds)
-        thresholds = np.unique(np.abs(rng.standard_normal(n_thresholds)))
-        thresholds *= 0.03
-        assert thresholds.size == n_thresholds
-        rho = np.arange(n_thresholds, 0, -1) / (n_thresholds + 1.0)
-        # z spans every erfc branch, so blocks are all-small and mixed
-        candidates = np.geomspace(20.0, 2e5, n)
-        blocked = _score_grid(candidates, thresholds, rho, 1.0)
-        one_shot = _score_rows(_tail_matrix(candidates, thresholds, 1.0),
-                               rho)
-        assert np.array_equal(blocked.view(np.uint64),
-                              one_shot.view(np.uint64))
+        candidates, thresholds, rho = self.grid(n, n_thresholds)
+        blocked = _score_grid(candidates, thresholds, rho, 1.0,
+                              _grid_workspace(n_thresholds))
+        self.assert_one_shot(blocked, candidates, thresholds, rho)
+
+    def test_reused_workspace(self):
+        # one workspace, NaN and True where unwritten, serves grids of every
+        # block shape in turn, as later fits reuse freed pages
+        floats, masks = ws = _grid_workspace(9000)
+        floats.fill(np.nan)
+        masks.fill(True)
+        folded, quarters = set(), set()
+        for n, n_thresholds in [(2000, 3), (2000, 100), (197, 1000),
+                                (17, 9000), (2000, 100)]:
+            candidates, thresholds, rho = self.grid(n, n_thresholds)
+            kept = thresholds.copy(), rho.copy()
+            # the blocks as _score_grid forms them, and whether more than a
+            # quarter of each one's arguments z are >= 0.84375
+            step, start = _block_rows(n_thresholds), 0
+            z = np.sqrt(candidates / 2.0)[:, None] * thresholds
+            while start < n:
+                stop = start + step if n - start - step >= 8 else n
+                folded.add(stop - start > step)
+                quarters.add(4 * (z[start:stop] >= 0.84375).sum()
+                              > z[start:stop].size)
+                start = stop
+            blocked = _score_grid(candidates, thresholds, rho, 1.0, ws)
+            self.assert_one_shot(blocked, candidates, thresholds, rho)
+            assert all(map(np.array_equal, kept, (thresholds, rho)))
+        assert folded == quarters == {False, True}
 
     def test_fit_memory_bounded(self):
         # one-shot scoring of the 2000 x 10^4 tail matrix peaked near 0.9 GB
@@ -464,13 +508,14 @@ def reference_trace(sample, t, lo, hi, n):
     rho = _frequencies(np.sort(abs_x), thresholds)
     with np.errstate(over="ignore"):
         candidates = np.geomspace(lo, hi, n)
-        scores = _score_grid(candidates, thresholds, rho, t)
+        ws = _grid_workspace(thresholds.size)
+        scores = _score_grid(candidates, thresholds, rho, t, ws)
         best = int(np.argmax(scores))
         extra_m, extra_r2 = [], []
 
         def evaluate(log_m):
             m = math.exp(log_m)
-            r2 = float(_score_grid(np.array([m]), thresholds, rho, t)[0])
+            r2 = float(_score_grid(np.array([m]), thresholds, rho, t, ws)[0])
             extra_m.append(m)
             extra_r2.append(r2)
             return r2
@@ -536,9 +581,9 @@ class TestBatchedRefinement:
     def test_tail_matrices_per_point(self, n, monkeypatch):
         rows = []
 
-        def counted(m_values, thresholds, t):
+        def counted(m_values, thresholds, t, ws):
             rows.append(m_values.size)
-            return tail(m_values, thresholds, t)
+            return tail(m_values, thresholds, t, ws)
 
         tail = estimate._tail_matrix
         monkeypatch.setattr(estimate, "_tail_matrix", counted)

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from oscmarkets import specfun
 from oscmarkets.errors import DomainError
-from oscmarkets.specfun import _erfc_core, erfc, erfc_inv
+from oscmarkets.specfun import _erfc_core, _workspace, erfc, erfc_inv
 
 DATA = Path(__file__).parent / "data"
 
@@ -130,6 +130,25 @@ class TestErfcCore:
         assert np.array_equal(a, before)
 
 
+def polyval(coeffs, x):
+    """Horner's scheme as first written, one fresh buffer per call."""
+    acc = np.multiply(x, coeffs[0])
+    acc += coeffs[1]
+    for c in coeffs[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def erfc_small(x):
+    """The small-argument formula as first written, on fresh arrays."""
+    z = x * x
+    y = polyval(specfun._PP, z)
+    y /= polyval(specfun._QQ, z)
+    xy = x * y
+    return np.where(x >= 0.25, 0.5 - ((x - 0.5) + xy), 1.0 - (x + xy))
+
+
 def gathered_erfc_core(a):
     """_erfc_core as first written: every branch gathers its own elements
     and scatters them back, and no branch sees another's elements."""
@@ -137,17 +156,17 @@ def gathered_erfc_core(a):
     if a.ndim == 0:
         return gathered_erfc_core(a.reshape(1)).reshape(())
     if a.size and a.max() < 0.84375:
-        return specfun._erfc_small(a)
+        return erfc_small(a)
     out = np.empty_like(a)
     small = a < 0.84375
     if small.any():
-        out[small] = specfun._erfc_small(a[small])
+        out[small] = erfc_small(a[small])
     mid = (a >= 0.84375) & (a < 1.25)
     if mid.any():
         s = a[mid]
         s -= 1.0
-        y = specfun._polyval(specfun._PA, s)
-        y /= specfun._polyval(specfun._QA, s)
+        y = polyval(specfun._PA, s)
+        y /= polyval(specfun._QA, s)
         out[mid] = np.subtract(1.0 - specfun._ERX, y, out=y)
     large = (a >= 1.25) & (a < 28.0)
     if large.any():
@@ -160,8 +179,8 @@ def gathered_erfc_core(a):
                               (~near, specfun._RB, specfun._SB)):
             if sel.any():
                 ss = s[sel]
-                y = specfun._polyval(num, ss)
-                y /= specfun._polyval(den, ss)
+                y = polyval(num, ss)
+                y /= polyval(den, ss)
                 ratio[sel] = y
         e = np.negative(x, out=s)
         e *= x
@@ -227,6 +246,45 @@ class TestErfcCoreMatchesGathered:
     def test_mixed_arrays(self, values, pad):
         a = np.array(values)
         self.assert_same(mostly_small(a) if pad else a)
+
+
+# the arrays of TestErfcCoreMatchesGathered: both sides of the quarter
+# rule, 2-D, 0-d and empty
+ARRAYS = [BOUNDARY, mostly_small(BOUNDARY),
+          mostly_small(BOUNDARY)[::-1].reshape(-1, 1) * np.ones(3),
+          np.array(0.9), np.array(30.0), np.empty(0), np.empty((3, 0))]
+
+
+class TestInputsLeftAlone:
+    """The kernel writes in place, into its workspace only: the caller's
+    arrays are left as they were, and a dirty, reused workspace gives the
+    same bits as a fresh one."""
+
+    @staticmethod
+    def assert_left_alone(call, a):
+        before = a.copy()
+        call(a)
+        assert np.array_equal(bits(a), bits(before))
+
+    @pytest.mark.parametrize("a", ARRAYS)
+    def test_erfc(self, a):
+        self.assert_left_alone(erfc, a)
+        self.assert_left_alone(erfc, -a)
+
+    @pytest.mark.parametrize("a", ARRAYS)
+    def test_erfc_inv(self, a):
+        p = np.asarray(erfc(np.minimum(a, 26.0)))  # in (0, 1]
+        self.assert_left_alone(erfc_inv, p)
+        self.assert_left_alone(erfc_inv, 2.0 - p[p > 0.5])
+
+    def test_core_in_dirty_workspace(self):
+        floats, masks = ws = _workspace(max(a.size for a in ARRAYS))
+        floats.fill(np.nan)
+        masks.fill(True)
+        for a in ARRAYS + ARRAYS[::-1]:
+            fresh = _erfc_core(a)
+            self.assert_left_alone(lambda a: _erfc_core(a, ws), a)
+            assert np.array_equal(bits(_erfc_core(a, ws)), bits(fresh))
 
 
 class TestErfcInv:
