@@ -211,10 +211,16 @@ def _grid_label(spec: Optional[est.GridSpec]) -> str:
 
 def _emit(ns, text: str) -> None:
     if ns.output == "-":
-        sys.stdout.write(text)
+        if sys.stdout is None:
+            raise DataError("cannot write standard output: it is closed")
+        try:  # a strict stdout rejects an undecodable byte of a file name
+            sys.stdout.write(text)
+        except UnicodeEncodeError as exc:
+            raise DataError(f"cannot write standard output: {exc}") from None
     else:
-        try:
-            Path(ns.output).write_text(text, encoding="utf-8")
+        try:  # the bytes stdout gets in UTF-8 mode
+            Path(ns.output).write_text(text, encoding="utf-8",
+                                       errors="surrogateescape")
         except OSError as exc:
             raise DataError(
                 f"cannot write output {ns.output}: {exc}") from None

@@ -22,15 +22,12 @@ call, and ``erfc_inv`` one for its three Halley steps.
 
 The elements >= 0.84375 are gathered first and sent through the mid,
 large and >= 28 branches in place, from the top down, while rows 1-3 are
-free. Where at most a quarter of the input is >= 0.84375, as in most
-blocks of a fit's tail matrix, the small-argument formula then runs over
-the whole input with no gather (its overflows are silenced), and the
-gathered results are scattered over it. Otherwise the small elements are
-gathered too, which is faster once they are fewer than about three
-quarters. The large-argument branch evaluates only the rational that
-applies to each element. Every element goes through the same
-floating-point operations in the same order whichever path it takes, so
-the results do not depend on how an input is split into blocks.
+free. The small-argument formula then runs over the whole input with no
+gather (its overflows are silenced), and the gathered results are
+scattered over it. The large-argument branch evaluates only the rational
+that applies to each element. Every element goes through the same
+floating-point operations in the same order wherever it sits, so the
+results do not depend on how an input is split into blocks.
 
 ``erfc_inv`` starts from the classic rational approximation of the normal
 quantile and polishes with three Halley iterations on ``erfc``, which is
@@ -234,22 +231,11 @@ def _erfc_core(a: np.ndarray, ws=None) -> np.ndarray:
     r1, r2, r3 = floats[1:, :n]
     out = r1.reshape(shape)
     rest, sel = masks[0, :n].reshape(shape), masks[1, :n]
-    count = np.count_nonzero(np.greater_equal(a, 0.84375, out=rest))
-    if count:  # first, while rows 1-3 are free
-        g = a[rest]
-        _erfc_rest(g, r1, r2, r3, sel)
-    if 4 * count <= n:
-        with np.errstate(all="ignore"):  # overwritten where a >= 0.84375
-            _erfc_small(a, out, *(b.reshape(shape) for b in (r2, r3, sel)))
-    else:  # gather every branch
-        small = np.logical_not(rest, out=rest)
-        x = a[small]
-        k = x.size
-        # row 1 holds the scratch xy, which is dead before z lands there
-        out[small] = _erfc_small(x, r2[:k], r3[:k], r1[:k], sel[:k])
-        np.logical_not(small, out=rest)
-    if count:
-        out[rest] = g
+    g = a[np.greater_equal(a, 0.84375, out=rest)]
+    _erfc_rest(g, r1, r2, r3, sel)  # first, while rows 1-3 are free
+    with np.errstate(all="ignore"):  # overwritten where a >= 0.84375
+        _erfc_small(a, out, *(b.reshape(shape) for b in (r2, r3, sel)))
+    out[rest] = g
     return out
 
 

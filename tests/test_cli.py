@@ -32,16 +32,18 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(argv, close_stdin=False, stdin=None,
+def run_process(argv, closed=(), stdin=None, text=True,
                 entry=("-c", "from oscmarkets.cli import run; run()"), **env):
-    """Run the CLI in a fresh interpreter; return (code, stdout, stderr)."""
+    """Run the CLI in a fresh interpreter, with the file descriptors in
+    `closed` closed; return (code, stdout, stderr), as bytes unless text."""
     child_env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV}
     child_env["PYTHONPATH"] = str(Path(oscmarkets.__file__).parents[1])
     child_env.update(env)
     proc = subprocess.run(
         [sys.executable, *entry, *argv], env=child_env, capture_output=True,
-        text=True, timeout=120, stdin=stdin,
-        preexec_fn=(lambda: os.close(0)) if close_stdin else None)
+        text=text, timeout=120, stdin=stdin,
+        preexec_fn=(lambda: [os.close(fd) for fd in closed]) if closed
+        else None)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -648,10 +650,42 @@ class TestExitCodes:
         assert want[2].startswith("data error: input is not valid UTF-8: ")
 
     def test_closed_stdin_process(self):
-        code, out, err = run_process(["estimate", "--stdin"],
-                                     close_stdin=True)
+        code, out, err = run_process(["estimate", "--stdin"], closed=(0,))
         assert (code, out) == (2, "")
         assert err == "data error: cannot read standard input: it is closed\n"
+
+    def test_closed_stdout_process(self):
+        code, out, err = run_process(["predict", "--m-hat", "977.73",
+                                      "--prior-close", "100"], closed=(1,))
+        assert (code, out) == (2, "")
+        assert err == ("data error: cannot write standard output: it is "
+                       "closed\n")
+
+    @staticmethod
+    def undecodable_input(tmp_path):
+        """A price file whose name holds the byte 0xff, not valid UTF-8."""
+        path = tmp_path / os.fsdecode(b"q\xff.csv")
+        path.write_bytes(QUIET.read_bytes())
+        return str(path)
+
+    def test_undecodable_file_name_utf8_mode(self, tmp_path):
+        # UTF-8 mode writes the byte back to stdout; --output holds the same
+        name, output = self.undecodable_input(tmp_path), tmp_path / "out.txt"
+        env = dict(PYTHONUTF8="1", PYTHONIOENCODING="")
+        code, out, err = run_process(["ingest", "--input", name], text=False,
+                                     **env)
+        assert (code, err) == (0, b"") and b"q\xff" in out
+        assert run_process(["ingest", "--input", name, "--output",
+                            str(output)], text=False, **env) == (0, b"", b"")
+        assert output.read_bytes() == out.replace(
+            b"output=-", b"output=" + os.fsencode(output))
+
+    def test_undecodable_file_name_strict_stdout(self, tmp_path):
+        code, out, err = run_process(
+            ["ingest", "--input", self.undecodable_input(tmp_path)],
+            PYTHONIOENCODING="utf-8:strict")
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("data error: cannot write standard output: ")
 
     def test_overflowing_tail_argument(self, capsys):
         # m / (2t) overflows at the top of the grid, where pr = 0 is the

@@ -467,25 +467,21 @@ class TestBlockScoring:
         floats, masks = ws = _grid_workspace(9000)
         floats.fill(np.nan)
         masks.fill(True)
-        folded, quarters = set(), set()
+        folded = set()
         for n, n_thresholds in [(2000, 3), (2000, 100), (197, 1000),
                                 (17, 9000), (2000, 100)]:
             candidates, thresholds, rho = self.grid(n, n_thresholds)
             kept = thresholds.copy(), rho.copy()
-            # the blocks as _score_grid forms them, and whether more than a
-            # quarter of each one's arguments z are >= 0.84375
+            # the blocks as _score_grid forms them
             step, start = _block_rows(n_thresholds), 0
-            z = np.sqrt(candidates / 2.0)[:, None] * thresholds
             while start < n:
                 stop = start + step if n - start - step >= 8 else n
                 folded.add(stop - start > step)
-                quarters.add(4 * (z[start:stop] >= 0.84375).sum()
-                              > z[start:stop].size)
                 start = stop
             blocked = _score_grid(candidates, thresholds, rho, 1.0, ws)
             self.assert_one_shot(blocked, candidates, thresholds, rho)
             assert all(map(np.array_equal, kept, (thresholds, rho)))
-        assert folded == quarters == {False, True}
+        assert folded == {False, True}
 
     def test_fit_memory_bounded(self):
         # one-shot scoring of the 2000 x 10^4 tail matrix peaked near 0.9 GB
