@@ -67,71 +67,64 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_float(text: str) -> float:
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise argparse.ArgumentTypeError(message)
+
+
+def _parsed(convert, text: str, message: str):
+    """convert(text), or a flag error: `message` formatted with the flag's
+    `text` and the ValueError or DataError `exc` that convert raised."""
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0: {text}")
+        return convert(text)
+    except (ValueError, DataError) as exc:
+        raise argparse.ArgumentTypeError(
+            message.format(text=text, exc=exc)) from None
+
+
+def _positive_float(text: str) -> float:
+    value = _parsed(float, text, "not a number: {text!r}")
+    _check(math.isfinite(value) and value > 0.0,
+           f"must be finite and > 0: {text}")
     return value
 
 
 def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    return _parsed(int, text, "not an integer: {text!r}")
 
 
 def _seed_value(text: str) -> int:
     value = _integer(text)
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
+    _check(0 <= value < 2 ** 64, "seed must fit in 64 unsigned bits")
     return value
 
 
 def _count_value(text: str) -> int:
     value = _integer(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    _check(value >= 1, f"must be >= 1, got {value}")
     return value
 
 
 def _window_value(text: str) -> tuple[int, int]:
     parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(
-            f"window must be START:COUNT, got {text!r}")
-    try:
-        start, count = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"window must be START:COUNT integers, got {text!r}") from None
-    if start < 0 or count < 1:
-        raise argparse.ArgumentTypeError(
-            f"window needs START >= 0 and COUNT >= 1, got {text!r}")
+    _check(len(parts) == 2, f"window must be START:COUNT, got {text!r}")
+    start, count = _parsed(lambda _: [int(p) for p in parts], text,
+                           "window must be START:COUNT integers, got {text!r}")
+    _check(start >= 0 and count >= 1,
+           f"window needs START >= 0 and COUNT >= 1, got {text!r}")
     return start, count
 
 
 def _grid_value(text: str) -> est.GridSpec:
     parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"grid must be LO:HI:N, got {text!r}")
-    try:
-        return est.GridSpec(lo=float(parts[0]), hi=float(parts[1]),
-                            n=int(parts[2]))
-    except (ValueError, DataError) as exc:
-        raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from None
+    _check(len(parts) == 3, f"grid must be LO:HI:N, got {text!r}")
+    return _parsed(lambda _: est.GridSpec(lo=float(parts[0]),
+                                          hi=float(parts[1]), n=int(parts[2])),
+                   text, "bad grid {text!r}: {exc}")
 
 
 def _date_value(text: str) -> dt.date:
-    try:
-        return _iso_date(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"dates are YYYY-MM-DD, got {text!r}") from None
+    return _parsed(_iso_date, text, "dates are YYYY-MM-DD, got {text!r}")
 
 
 # each config key and the type function of the flag it stands in for

@@ -595,6 +595,44 @@ class TestExitCodes:
         assert run(capsys, "estimate", "--input", str(QUIET),
                    "--window", "ten")[0] == 1
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("estimate", "window", "10", "window must be START:COUNT, got '10'"),
+        ("estimate", "window", "1:2:3",
+         "window must be START:COUNT, got '1:2:3'"),
+        ("estimate", "window", "a:5",
+         "window must be START:COUNT integers, got 'a:5'"),
+        ("estimate", "window", "1.5:5",
+         "window must be START:COUNT integers, got '1.5:5'"),
+        ("estimate", "window", "-1:5",
+         "window needs START >= 0 and COUNT >= 1, got '-1:5'"),
+        ("estimate", "window", "0:0",
+         "window needs START >= 0 and COUNT >= 1, got '0:0'"),
+        ("estimate", "grid", "1:2", "grid must be LO:HI:N, got '1:2'"),
+        ("estimate", "grid", "a:2:3",
+         "bad grid 'a:2:3': could not convert string to float: 'a'"),
+        ("estimate", "grid", "1:2:x",
+         "bad grid '1:2:x': invalid literal for int() with base 10: 'x'"),
+        ("estimate", "grid", "5:2:10",
+         "bad grid '5:2:10': grid bounds must satisfy 0 < lo < hi < inf, "
+         "got [5.0, 2.0]"),
+        ("backtest", "crash-week", "2004/01/02",
+         "dates are YYYY-MM-DD, got '2004/01/02'"),
+        ("synth", "seed", "-1", "seed must fit in 64 unsigned bits"),
+        ("synth", "seed", str(2 ** 64), "seed must fit in 64 unsigned bits"),
+        ("synth", "seed", "abc", "not an integer: 'abc'"),
+        ("synth", "n", "0", "must be >= 1, got 0"),
+        ("synth", "n", "x", "not an integer: 'x'"),
+        ("estimate", "t", "abc", "not a number: 'abc'"),
+        ("estimate", "t", "-1", "must be finite and > 0: -1"),
+        ("estimate", "t", "0", "must be finite and > 0: 0"),
+        ("estimate", "t", "inf", "must be finite and > 0: inf"),
+        ("estimate", "t", "nan", "must be finite and > 0: nan")])
+    def test_usage_converter_message(self, capsys, command, flag, value,
+                                     message):
+        code, out, err = run(capsys, command, f"--{flag}={value}")
+        assert (code, out) == (1, "")
+        assert err == f"usage error: argument --{flag}: {message}\n"
+
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
 

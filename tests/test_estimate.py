@@ -452,7 +452,7 @@ class TestBlockScoring:
         (2000, 3),
         (2000, 100),
         (2000, 1000),
-        (2000, 9000),
+        (208, 9000),  # 26 full 8-row blocks: bit-equal on 1 to 4 threads
         (17, 9000),  # one trailing row folded into the block
     ])
     def test_equals_one_shot(self, n, n_thresholds):

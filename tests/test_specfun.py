@@ -303,6 +303,17 @@ class TestErfcInv:
         back = erfc(erfc_inv(p))
         assert np.abs(back / p - 1.0).max() <= 1e-9
 
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_relative_accuracy_near_one(self, side):
+        # the sampler's smallest draw of seed 12100089: erfc_inv(sqrt(u))
+        # for u = 0.999999981188475, 5.3e-9 relative off before the series
+        p = np.append(1.0 + side * np.geomspace(1e-17, 1e-3, 50),
+                      np.sqrt(0.999999981188475))
+        with mpmath.workdps(30):
+            for pi, got in zip(p.tolist(), erfc_inv(p).tolist()):
+                want = mpmath.erfinv(1 - mpmath.mpf(pi))
+                assert abs(got - want) <= 1e-10 * abs(want), pi
+
     def test_strictly_decreasing(self):
         p = np.linspace(1e-6, 2.0 - 1e-6, 4001)
         assert (np.diff(erfc_inv(p)) < 0.0).all()
