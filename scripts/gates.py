@@ -1,0 +1,133 @@
+"""Run the repository's gates in order and report each one.
+
+    python scripts/gates.py              # this checkout alone
+    python scripts/gates.py --base REF   # and compare with commit REF
+
+In order:
+
+  1. tier1: the whole test suite under one BLAS thread (gate);
+  2. block_scoring: the TestBlockScoring and TestBatchedRefinement tests
+     under two BLAS threads, since block scoring must equal one-shot
+     scoring bit for bit whatever the thread count (gate);
+  3. fit_digest: scripts/fit_digest.py under one and two BLAS threads. With
+     --base, REF's src/ is digested too, by this checkout's script on this
+     machine, and the two must be equal: a change must leave every fit
+     bit-identical (gate);
+  4. cli_digest: scripts/cli_digest.py the same way. The head's script
+     must run (gate); whether its digest equals REF's is reported, since a
+     change may move the CLI's bytes knowingly, and says so;
+  5. code_lines: scripts/count_code_lines.py totals. The head's count must
+     run (gate); the totals are reported.
+
+REF's src/ is exported with `git archive` into a temporary directory, so
+the checkout and its git metadata are left as they were.
+
+Each gate prints one line, then one JSON line sums them all up: each
+gate's result, the digests, the code-line totals, the tier-1 counts and
+the seconds each step took. The exit status is 1 when any gate fails.
+"""
+
+import argparse
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+THREADS = ("1", "2")
+
+
+def python(args, threads="1"):
+    """`python args` from the checkout's root with src/ on the path and
+    `threads` BLAS threads: (exit code, output, seconds)."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, ("src", os.environ.get("PYTHONPATH")))))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True)
+    return (proc.returncode, proc.stdout + proc.stderr,
+            round(time.perf_counter() - start, 1))
+
+
+def pytest(args, threads):
+    code, out, seconds = python(
+        ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors", *args], threads)
+    lines = out.strip().splitlines()
+    counts = {kind: int(n) for n, kind in re.findall(
+        r"(\d+) (passed|failed|errors?|skipped|deselected)",
+        lines[-1] if lines else "")}
+    return {"ok": code == 0 and "passed" in counts, **counts,
+            "threads": int(threads), "seconds": seconds}
+
+
+def last_line(args, threads="1"):
+    """The last output line of a script, or None if it failed."""
+    code, out, _ = python(args, threads)
+    lines = out.strip().splitlines()
+    return lines[-1] if code == 0 and lines else None
+
+
+def export_src(ref: str, dest: str) -> str:
+    """REF's src/ written under dest; returns its path."""
+    archive = subprocess.run(["git", "archive", ref, "src"], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+    return str(Path(dest) / "src")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--base", metavar="REF",
+                        help="commit to compare the digests and counts with")
+    args = parser.parse_args()
+    start = time.perf_counter()
+    report = {"base": args.base}
+
+    def gate(name, result):
+        """Record and print one step."""
+        report[name] = result
+        print(f"{'PASS' if result['ok'] else 'FAIL'} {name}: "
+              + ", ".join(f"{k} {v}" for k, v in result.items() if k != "ok"),
+              flush=True)
+
+    gate("tier1", pytest([], "1"))
+    gate("block_scoring", pytest(
+        ["tests/test_estimate.py", "-k",
+         "TestBlockScoring or TestBatchedRefinement"], "2"))
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {"head": []}
+        if args.base:
+            trees["base"] = [export_src(args.base, tmp)]
+        for script, must_match in (("fit_digest", True),
+                                   ("cli_digest", False)):
+            for threads in THREADS:
+                digests = {tree: last_line([f"scripts/{script}.py", *src],
+                                           threads)
+                           for tree, src in trees.items()}
+                same = None not in digests.values() and len(
+                    set(digests.values())) == 1
+                # the head's script must run; only fit_digest must match
+                gate(f"{script}_threads{threads}", {
+                    **digests, "same": same,
+                    "ok": same if must_match else digests["head"] is not None})
+        totals = {tree: last_line(["scripts/count_code_lines.py", *src])
+                  for tree, src in trees.items()}
+        gate("code_lines", {**{tree: line and int(line.split()[0])
+                               for tree, line in totals.items()},
+                            "ok": totals["head"] is not None})
+
+    report["ok"] = ok = all(r["ok"] for r in report.values()
+                            if isinstance(r, dict))
+    report["seconds"] = round(time.perf_counter() - start, 1)
+    print(json.dumps(report))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

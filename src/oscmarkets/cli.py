@@ -166,12 +166,28 @@ def _load_config_file() -> dict:
     return values
 
 
+# how the text format prints each scalar result field: its format spec
+# (unlisted fields print as str) and its label where that is not its name
+_TEXT_FORMAT = {"m_hat": ".4f", "r2": ".6f", "t": "g", "prior_close": ".4f",
+                "predicted_extreme_ratio": ".6f",
+                "predicted_extreme_points": ".2f", "actual_points": ".2f",
+                "actual_ratio": ".6f", "years_from_train_to_crash": ".1f"}
+_TEXT_LABEL = {"asset_id": "asset"}
+
+
+def _text_value(name: str, value) -> str:
+    """A scalar field's value as text prints it; bools print yes or no."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    return format(value, _TEXT_FORMAT.get(name, ""))
+
+
 def _warn_grid_edge(fit: est.EstimationResult) -> None:
     """One stderr line when m_hat is the first or last grid candidate."""
     if fit.at_grid_edge:
         lo, hi = fit.grid.m[[0, -1]].tolist()
-        print(f"warning: m_hat {fit.m_hat:.4f} at the edge of the search "
-              f"grid [{lo!r}, {hi!r}]", file=sys.stderr)
+        print(f"warning: m_hat {_text_value('m_hat', fit.m_hat)} at the edge "
+              f"of the search grid [{lo!r}, {hi!r}]", file=sys.stderr)
 
 
 def _read_series(ns, parse):
@@ -225,41 +241,49 @@ def _csv_cell(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _render(ns, pairs, key: str, record, text=None, table=None) -> str:
+def _render(ns, pairs, key: str, scalars: dict, record=None, text=None,
+            table=None) -> str:
     """A command's output in ns.format: the one place that knows formats.
 
     The configuration echo is `command`, `input` (when the command reads
-    one), `output` and `format`, then the command's own `pairs`. `record`,
-    `text` and `table` are thunks, and only the one ns.format needs is
-    called:
+    one), `output` and `format`, then the command's own `pairs`.
+    `scalars` holds the command's scalar result fields, name -> value, in
+    order. `record`, `text` and `table` are thunks, and only the ones
+    ns.format needs are called:
 
-    structured: {"config": {...}, key: record()} as indented JSON.
-    csv: the `# config:` line, then table(fh) writing the body or, with no
-        table, record() as one header row and one value row.
-    text: the `# config:` line, then one line per item of text(): a str
-        as it is, and (name, value) or (name, value, spec) as `name: value`
-        with the value formatted by spec. With no text, text is csv.
+    structured: {"config": {...}, key: {**scalars, **record()}} as
+        indented JSON.
+    csv: the `# config:` line, then with no table the scalars as one
+        header row and one value row; with a table, the scalars (if any)
+        as one `# result: name=value ...` line, then table(fh) writing the
+        body.
+    text: the `# config:` line, then one line per scalar and per item of
+        text(): a str as it is, and a (name, value) pair as `label: value`
+        through _TEXT_LABEL and _text_value. With neither scalars nor text,
+        text is csv.
     """
     pairs = [("command", ns.command),
              *([("input", ns.input)] if "input" in ns else []),
              ("output", ns.output), ("format", ns.format), *pairs]
     if ns.format == "structured":
-        return json.dumps({"config": dict(pairs), key: record()},
+        return json.dumps({"config": dict(pairs),
+                           key: {**scalars, **(record() if record else {})}},
                           indent=2) + "\n"
     out = io.StringIO()
     out.write("# config: " + " ".join(f"{k}={v}" for k, v in pairs) + "\n")
-    if ns.format == "text" and text is not None:
-        for item in text():
-            if not isinstance(item, str):
-                name, value, *spec = item
-                item = f"{name}: {format(value, *spec)}"
-            out.write(item + "\n")
-    elif table is not None:
-        table(out)
+    if ns.format == "text" and (scalars or text):
+        for item in [*scalars.items(), *(text() if text else ())]:
+            out.write((item if isinstance(item, str) else
+                       f"{_TEXT_LABEL.get(item[0], item[0])}: "
+                       f"{_text_value(*item)}") + "\n")
+    elif table is None:
+        out.write(",".join(scalars) + "\n"
+                  + ",".join(map(_csv_cell, scalars.values())) + "\n")
     else:
-        rec = record()
-        out.write(",".join(rec) + "\n"
-                  + ",".join(map(_csv_cell, rec.values())) + "\n")
+        if scalars:
+            out.write("# result: " + " ".join(
+                f"{k}={_csv_cell(v)}" for k, v in scalars.items()) + "\n")
+        table(out)
     return out.getvalue()
 
 
@@ -280,24 +304,21 @@ def _cmd_ingest(ns) -> str:
     series = _read_series(ns, parse_prices)
     pairs = [("resample", ns.resample), ("emit", ns.emit),
              ("asset", series.asset_id)]
-
-    def text():
-        first, last = np.datetime_as_string(series.week_end[[0, -1]],
-                                            unit="D")
-        return [("asset", series.asset_id), ("unit", series.unit),
-                ("points", len(series)), ("first_week", first),
-                ("last_week", last),
-                ("displacements", len(to_displacements(series)))]
-
+    first, last = np.datetime_as_string(series.week_end[[0, -1]], unit="D")
+    summary = [("asset", series.asset_id), ("unit", series.unit),
+               ("points", len(series)), ("first_week", first),
+               ("last_week", last), ("displacements", len(series) - 1)]
     if ns.emit == "prices":
-        return _render(ns, pairs, "series", lambda: {
+        return _render(ns, pairs, "series", {}, lambda: {
             "asset_id": series.asset_id, "unit": series.unit,
             "points": _records(date=series.week_end, close=series.close)},
-            text, lambda fh: write_prices(series, fh))
-    return _render(
-        ns, pairs, "series",
-        lambda: _displacement_record(to_displacements(series)), text,
-        lambda fh: write_displacements(to_displacements(series), fh))
+            lambda: summary, lambda fh: write_prices(series, fh))
+    # built and checked before any output, whatever the format
+    displacements = to_displacements(series)
+    return _render(ns, pairs, "series", {},
+                   lambda: _displacement_record(displacements),
+                   lambda: summary,
+                   lambda fh: write_displacements(displacements, fh))
 
 
 def _cmd_estimate(ns) -> str:
@@ -317,31 +338,24 @@ def _cmd_estimate(ns) -> str:
              ("grid", _grid_label(ns.grid)), ("resample", ns.resample),
              ("emit", ns.emit), ("asset", series.asset_id)]
     rows, trace = fit.table, fit.grid
-
-    def record():
-        return {"m_hat": fit.m_hat, "r2": fit.r2,
-                "sample_size": fit.sample_size,
-                "table": _records(X=rows.x, rho=rows.rho, pr=rows.pr),
-                "grid": _records(m_candidate=trace.m, r2=trace.r2)}
+    scalars = {"m_hat": fit.m_hat, "r2": fit.r2,
+               "sample_size": fit.sample_size}
 
     def table(fh):
-        fh.write(f"# result: m_hat={fit.m_hat!r} r2={fit.r2!r} "
-                 f"sample_size={fit.sample_size}\n")
         if ns.emit == "grid":
             _write(fh, ("m_candidate", "r2"), trace.m, trace.r2)
         else:
             _write(fh, ("X", "rho", "pr"), rows.x, rows.rho, rows.pr)
 
-    def text():
-        return [("m_hat", fit.m_hat, ".4f"), ("r2", fit.r2, ".6f"),
-                ("sample_size", fit.sample_size),
-                ("thresholds", len(rows)),
-                ("grid_evaluations", len(trace)),
-                "", f"{'X':>12}  {'rho':>10}  {'pr':>12}",
-                *(f"{x:>12.6f}  {rho:>10.6f}  {pr:>12.6e}"
-                  for x, rho, pr in rows.tolist())]
-
-    return _render(ns, pairs, "result", record, text, table)
+    return _render(
+        ns, pairs, "result", scalars,
+        lambda: {"table": _records(X=rows.x, rho=rows.rho, pr=rows.pr),
+                 "grid": _records(m_candidate=trace.m, r2=trace.r2)},
+        lambda: [("thresholds", len(rows)), ("grid_evaluations", len(trace)),
+                 "", f"{'X':>12}  {'rho':>10}  {'pr':>12}",
+                 *(f"{x:>12.6f}  {rho:>10.6f}  {pr:>12.6e}"
+                   for x, rho, pr in rows.tolist())],
+        table)
 
 
 def _cmd_synth(ns) -> str:
@@ -351,7 +365,7 @@ def _cmd_synth(ns) -> str:
              ("seed", str(ns.seed))]
     # no text view: the displacement table IS the artifact, which keeps
     # `synth | estimate --stdin` composable in text and csv alike
-    return _render(ns, pairs, "series",
+    return _render(ns, pairs, "series", {},
                    lambda: _displacement_record(series),
                    table=lambda fh: write_displacements(series, fh))
 
@@ -366,13 +380,9 @@ def _cmd_predict(ns) -> str:
     points = bt.predict_extreme_points(m_hat, t, prior)
     pairs = [("m_hat", repr(m_hat)), ("t", repr(t)),
              ("prior_close", repr(prior))]
-    record = {"m_hat": m_hat, "t": t, "prior_close": prior,
-              "predicted_extreme_ratio": ratio,
-              "predicted_extreme_points": points}
-    specs = (".4f", "g", ".4f", ".6f", ".2f")
-    return _render(ns, pairs, "result", lambda: record,
-                   lambda: [(*item, spec)
-                            for item, spec in zip(record.items(), specs)])
+    return _render(ns, pairs, "result", {
+        "m_hat": m_hat, "t": t, "prior_close": prior,
+        "predicted_extreme_ratio": ratio, "predicted_extreme_points": points})
 
 
 def _cmd_backtest(ns) -> str:
@@ -390,22 +400,8 @@ def _cmd_backtest(ns) -> str:
              ("grid", _grid_label(ns.grid)),
              ("crash_week", ns.crash_week.isoformat()),
              ("resample", ns.resample), ("asset", series.asset_id)]
-
-    def text():
-        return [("asset", r.asset_id), ("m_hat", r.m_hat, ".4f"),
-                ("r2", r.r2, ".6f"), ("prior_close", r.prior_close, ".4f"),
-                ("predicted_extreme_ratio", r.predicted_extreme_ratio, ".6f"),
-                ("predicted_extreme_points", r.predicted_extreme_points,
-                 ".2f"),
-                ("actual_points", r.actual_points, ".2f"),
-                ("actual_ratio", r.actual_ratio, ".6f"),
-                ("violated", "yes" if r.violated else "no"),
-                ("years_from_train_to_crash", r.years_from_train_to_crash,
-                 ".1f")]
-
-    return _render(ns, pairs, "result", lambda: {
-        f.name: getattr(r, f.name) for f in fields(r) if f.name != "fit"},
-        text)
+    return _render(ns, pairs, "result", {
+        f.name: getattr(r, f.name) for f in fields(r) if f.name != "fit"})
 
 
 def build_parser(config: dict) -> argparse.ArgumentParser:

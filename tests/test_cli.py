@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscmarkets
-from oscmarkets.cli import CONFIG_ENV, main
+from oscmarkets.cli import CONFIG_ENV, _TEXT_LABEL, main
 
 DATA = Path(__file__).parent / "data"
 QUIET = DATA / "backtest_quiet.csv"
@@ -318,6 +318,33 @@ class TestIngest:
         code, out, _ = run(capsys, "ingest", "--input", str(QUIET))
         assert code == 0
         assert grab(out, "asset") == "backtest_quiet"
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "structured"])
+    def test_overflowing_ratio_fails_displacements_only(self, capsys,
+                                                        tmp_path, fmt):
+        # closes are valid prices, but their weekly ratio overflows a float
+        prices = tmp_path / "prices.csv"
+        prices.write_text("date,close\n2001-01-05,1e-300\n2001-01-12,1e300\n")
+        argv = ("ingest", "--input", str(prices), "--format", fmt, "--emit")
+        code, out, err = run(capsys, *argv, "prices")
+        assert (code, err) == (0, "")
+        assert ("points: 2" if fmt == "text" else "1e+300") in out
+        code, out, err = run(capsys, *argv, "displacements")
+        assert (code, out) == (2, "")
+        assert err == "data error: ratio must be finite, got inf\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "structured"])
+    @pytest.mark.parametrize("emit", ["prices", "displacements"])
+    def test_one_row_fails_in_every_view(self, capsys, tmp_path, fmt, emit):
+        # a price series holds at least two rows, so the text summary's
+        # displacement count is never 0
+        prices = tmp_path / "prices.csv"
+        prices.write_text("date,close\n2001-01-05,100\n")
+        code, out, err = run(capsys, "ingest", "--input", str(prices),
+                             "--format", fmt, "--emit", emit)
+        assert (code, out) == (2, "")
+        assert err == ("data error: price series needs at least 2 points, "
+                       "got 1\n")
 
 
 class TestBacktestCommand:
@@ -802,6 +829,20 @@ EXTREME = st.one_of(st.integers(-320, 308).map(lambda e: 10.0 ** e),
 PREFIXES = {1: "usage error: ", 2: "data error: ", 3: "numeric error: "}
 
 
+def assert_documented(code, out, err, fmt):
+    """A documented outcome: a result, with at most the grid-edge warning
+    and strict JSON when structured, or one error line and no output."""
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(PREFIXES[code]) and err.endswith("\n")
+    else:
+        assert err == "" or (err.startswith("warning: m_hat ")
+                             and err.count("\n") == 1)
+        if fmt == "structured":
+            TestPredict.strict_json(out)
+
+
 class TestExtremeFlagValues:
     """Extreme finite flag values end in a result or in one documented
     error line, with no warning and no traceback."""
@@ -832,12 +873,125 @@ class TestExtremeFlagValues:
             argv += ["--grid", f"{lo!r}:{hi!r}:{n}"]
         fmt = data.draw(st.sampled_from(("text", "csv", "structured")))
         code, out, err = run_strict(argv + ["--format", fmt])
-        assert code in (0, 1, 2, 3)
-        if code:
-            assert out == "" and err.count("\n") == 1
-            assert err.startswith(PREFIXES[code]) and err.endswith("\n")
+        assert_documented(code, out, err, fmt)
+
+
+class TestOneSpellingPerField:
+    """Each scalar result field is spelled once: the structured result's
+    scalar keys are the csv header (estimate: the `# result:` keys), and
+    the text labels follow them in order through the label table."""
+
+    @pytest.mark.parametrize("argv, text", [
+        (("predict", "--m-hat", "977.73", "--prior-close", "1099.23"),
+         ["m_hat: 977.7300", "t: 1", "prior_close: 1099.2300",
+          "predicted_extreme_ratio: 0.284175",
+          "predicted_extreme_points: 312.37"]),
+        (("backtest", "--input", str(CRASH), "--crash-week", "2004-12-06"),
+         ["asset: backtest_crash", "m_hat: 899.9999", "r2: 1.000000",
+          "prior_close: 95.2779", "predicted_extreme_ratio: 0.296192",
+          "predicted_extreme_points: 28.22", "actual_points: 31.04",
+          "actual_ratio: 0.325811", "violated: yes",
+          "years_from_train_to_crash: 2.0"]),
+        (("estimate", "--input", str(QUIET), "--window", "0:100"),
+         ["m_hat: 899.9999", "r2: 1.000000", "sample_size: 100"])])
+    def test_formats_agree(self, capsys, argv, text):
+        outs = {}
+        for fmt in ("structured", "csv", "text"):
+            code, outs[fmt], err = run(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, "")
+        result = json.loads(outs["structured"])["result"]
+        scalars = {k: v for k, v in result.items() if not isinstance(v, list)}
+        csv_lines = outs["csv"].splitlines()
+        if argv[0] == "estimate":
+            assert csv_lines[1].startswith("# result: ")
+            cells = dict(item.split("=") for item in
+                         csv_lines[1].removeprefix("# result: ").split())
         else:
-            assert err == "" or (err.startswith("warning: m_hat ")
-                                 and err.count("\n") == 1)
-            if fmt == "structured":
-                TestPredict.strict_json(out)
+            cells = dict(zip(*(line.split(",") for line in csv_lines[1:3])))
+        assert list(cells) == list(scalars)
+        text_lines = outs["text"].splitlines()[1:1 + len(scalars)]
+        assert text_lines == text
+        assert [line.split(": ", 1)[0] for line in text_lines] == [
+            _TEXT_LABEL.get(k, k) for k in scalars]
+        for name, value in scalars.items():
+            if isinstance(value, float):  # full precision off the text view
+                assert float(cells[name]) == value
+
+
+def _mutated(draw, lines):
+    """The bytes of the CSV rows `lines` (header first) after up to three
+    of the mutations a vendor file or a bad edit brings."""
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(1, len(lines) - 1))
+        cells = lines[i].split(",")
+        kind = draw(st.sampled_from(
+            ("value", "date", "quote", "comment", "blank", "extra", "swap",
+             "xff")))
+        if kind == "value":
+            cells[-1] = draw(st.sampled_from(
+                ("0", "-1", "nan", "inf", "1e999", "1e-320", "1_000",
+                 " 12 ", "")))
+        elif kind == "date":
+            cells[0] = draw(st.sampled_from(
+                ("2001-02-30", "20010105", "2001-W01-5", "x", "")))
+        elif kind == "quote":
+            cells[-1] = f'"{cells[-1]}"'
+        elif kind == "extra":
+            cells.append("7")
+        elif kind == "xff":
+            cells[-1] += "\udcff"  # written back as the byte 0xff
+        if kind == "comment":
+            lines.insert(i, "# note")
+        elif kind == "blank":
+            lines.insert(i, "")
+        elif kind == "swap":
+            j = draw(st.integers(1, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            lines[i] = ",".join(cells)
+    ending = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + ending.join(lines) + ending).encode(
+        "utf-8", "surrogateescape")
+
+
+CONFIG_LINES = st.one_of(
+    st.sampled_from(("t = 2", "t = 1e-300", "t = 0", "train_count = 80",
+                     "train_count = 0", "grid = 100:5000:40",
+                     "grid = 5:1:3", "seed = 5", "crash_week = 2004-12-06",
+                     "crash_week = 2004-13-01", "prior_close = 1099.23",
+                     "m_hat = 977.73", "# comment", "", "t", "= 1",
+                     "colour = red")),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+
+
+class TestMutatedInputs:
+    """Mutated CSVs and config files through `main` end in a result or in
+    one documented error line, with no warning and no traceback."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("mutated")
+
+    @settings(max_examples=50, deadline=None, derandomize=True,
+              database=None)
+    @given(data=st.data())
+    def test_documented_outcome(self, files, data):
+        source = data.draw(st.sampled_from((QUIET, CRASH)))
+        csv_path, config = files / "prices.csv", files / "osc.cfg"
+        csv_path.write_bytes(_mutated(data.draw,
+                                      source.read_text().splitlines()))
+        config.write_text("\n".join(data.draw(st.lists(CONFIG_LINES,
+                                                       max_size=2))) + "\n",
+                          encoding="utf-8")
+        command = data.draw(st.sampled_from(("ingest", "estimate",
+                                             "backtest")))
+        argv = [command, "--input", str(csv_path)]
+        if command == "backtest":
+            argv += ["--crash-week", "2004-12-06"]
+        fmt = data.draw(st.sampled_from(("text", "csv", "structured")))
+        with pytest.MonkeyPatch.context() as mp:
+            if data.draw(st.booleans()):
+                mp.setenv(CONFIG_ENV, str(config))
+            code, out, err = run_strict(argv + ["--format", fmt])
+        assert_documented(code, out, err, fmt)
