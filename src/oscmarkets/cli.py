@@ -23,8 +23,8 @@ composes, since comment lines are skipped by the parsers.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime as dt
-import io
 import json
 import math
 import os
@@ -168,7 +168,7 @@ def _load_config_file() -> dict:
 
 # how the text format prints each scalar result field: its format spec
 # (unlisted fields print as str) and its label where that is not its name
-_TEXT_FORMAT = {"m_hat": ".4f", "r2": ".6f", "t": "g", "prior_close": ".4f",
+_TEXT_FORMAT = {"m_hat": ".10g", "r2": ".6f", "t": "g", "prior_close": ".4f",
                 "predicted_extreme_ratio": ".6f",
                 "predicted_extreme_points": ".2f", "actual_points": ".2f",
                 "actual_ratio": ".6f", "years_from_train_to_crash": ".1f"}
@@ -218,21 +218,27 @@ def _grid_label(spec: Optional[est.GridSpec]) -> str:
     return f"{spec.lo!r}:{spec.hi!r}:{spec.n}"
 
 
-def _emit(ns, text: str) -> None:
-    if ns.output == "-":
-        if sys.stdout is None:
-            raise DataError("cannot write standard output: it is closed")
-        try:  # a strict stdout rejects an undecodable byte of a file name
-            sys.stdout.write(text)
-        except UnicodeEncodeError as exc:
-            raise DataError(f"cannot write standard output: {exc}") from None
-    else:
-        try:  # the bytes stdout gets in UTF-8 mode
-            Path(ns.output).write_text(text, encoding="utf-8",
-                                       errors="surrogateescape")
-        except OSError as exc:
-            raise DataError(
-                f"cannot write output {ns.output}: {exc}") from None
+def _emit(ns, write) -> None:
+    """write(out) once, into stdout or into the --output file. The file is
+    opened only now, after the command has made and checked its result, so
+    a failed command creates or truncates no file."""
+    where = "standard output" if ns.output == "-" else f"output {ns.output}"
+    if ns.output == "-" and sys.stdout is None:
+        raise DataError(f"cannot write {where}: it is closed")
+    try:  # --output gets the bytes stdout gets in UTF-8 mode; a strict
+        # stdout rejects an undecodable byte of a file name
+        with (contextlib.nullcontext(sys.stdout) if ns.output == "-" else
+              open(ns.output, "w", encoding="utf-8",
+                   errors="surrogateescape")) as out:
+            write(out)
+            out.flush()
+    except (OSError, UnicodeEncodeError) as exc:
+        if ns.output == "-" and isinstance(exc, OSError):  # so that the
+            # flush at exit has nowhere to fail and prints nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(exc, BrokenPipeError):
+            return  # the reader has all it wants: end quietly, exit 0
+        raise DataError(f"cannot write {where}: {exc}") from None
 
 
 def _csv_cell(value) -> str:
@@ -242,8 +248,9 @@ def _csv_cell(value) -> str:
 
 
 def _render(ns, pairs, key: str, scalars: dict, record=None, text=None,
-            table=None) -> str:
-    """A command's output in ns.format: the one place that knows formats.
+            table=None):
+    """The writer of a command's output in ns.format: the one place that
+    knows formats. The writer writes straight into the stream it is given.
 
     The configuration echo is `command`, `input` (when the command reads
     one), `output` and `format`, then the command's own `pairs`.
@@ -255,7 +262,7 @@ def _render(ns, pairs, key: str, scalars: dict, record=None, text=None,
         indented JSON.
     csv: the `# config:` line, then with no table the scalars as one
         header row and one value row; with a table, the scalars (if any)
-        as one `# result: name=value ...` line, then table(fh) writing the
+        as one `# result: name=value ...` line, then table(out) writing the
         body.
     text: the `# config:` line, then one line per scalar and per item of
         text(): a str as it is, and a (name, value) pair as `label: value`
@@ -265,26 +272,29 @@ def _render(ns, pairs, key: str, scalars: dict, record=None, text=None,
     pairs = [("command", ns.command),
              *([("input", ns.input)] if "input" in ns else []),
              ("output", ns.output), ("format", ns.format), *pairs]
-    if ns.format == "structured":
-        return json.dumps({"config": dict(pairs),
-                           key: {**scalars, **(record() if record else {})}},
-                          indent=2) + "\n"
-    out = io.StringIO()
-    out.write("# config: " + " ".join(f"{k}={v}" for k, v in pairs) + "\n")
-    if ns.format == "text" and (scalars or text):
-        for item in [*scalars.items(), *(text() if text else ())]:
-            out.write((item if isinstance(item, str) else
-                       f"{_TEXT_LABEL.get(item[0], item[0])}: "
-                       f"{_text_value(*item)}") + "\n")
-    elif table is None:
-        out.write(",".join(scalars) + "\n"
-                  + ",".join(map(_csv_cell, scalars.values())) + "\n")
-    else:
-        if scalars:
-            out.write("# result: " + " ".join(
-                f"{k}={_csv_cell(v)}" for k, v in scalars.items()) + "\n")
-        table(out)
-    return out.getvalue()
+
+    def write(out):
+        if ns.format == "structured":
+            json.dump({"config": dict(pairs),
+                       key: {**scalars, **(record() if record else {})}},
+                      out, indent=2)
+            out.write("\n")
+            return
+        out.write(f"# config: {' '.join(f'{k}={v}' for k, v in pairs)}\n")
+        if ns.format == "text" and (scalars or text):
+            for item in [*scalars.items(), *(text() if text else ())]:
+                out.write((item if isinstance(item, str) else
+                           f"{_TEXT_LABEL.get(item[0], item[0])}: "
+                           f"{_text_value(*item)}") + "\n")
+        elif table is None:
+            out.write(",".join(scalars) + "\n"
+                      + ",".join(map(_csv_cell, scalars.values())) + "\n")
+        else:
+            if scalars:
+                out.write("# result: " + " ".join(
+                    f"{k}={_csv_cell(v)}" for k, v in scalars.items()) + "\n")
+            table(out)
+    return write
 
 
 def _records(**columns):
@@ -300,7 +310,7 @@ def _displacement_record(d) -> dict:
                                 ratio=d.ratio)}
 
 
-def _cmd_ingest(ns) -> str:
+def _cmd_ingest(ns):
     series = _read_series(ns, parse_prices)
     pairs = [("resample", ns.resample), ("emit", ns.emit),
              ("asset", series.asset_id)]
@@ -321,7 +331,7 @@ def _cmd_ingest(ns) -> str:
                    lambda fh: write_displacements(displacements, fh))
 
 
-def _cmd_estimate(ns) -> str:
+def _cmd_estimate(ns):
     if ns.stdin:
         if ns.input is not None:
             raise UsageError("give either --input or --stdin, not both")
@@ -353,12 +363,12 @@ def _cmd_estimate(ns) -> str:
                  "grid": _records(m_candidate=trace.m, r2=trace.r2)},
         lambda: [("thresholds", len(rows)), ("grid_evaluations", len(trace)),
                  "", f"{'X':>12}  {'rho':>10}  {'pr':>12}",
-                 *(f"{x:>12.6f}  {rho:>10.6f}  {pr:>12.6e}"
+                 *(f"{x:>12.6e}  {rho:>10.6f}  {pr:>12.6e}"
                    for x, rho, pr in rows.tolist())],
         table)
 
 
-def _cmd_synth(ns) -> str:
+def _cmd_synth(ns):
     spec = SynthSpec(m=ns.m, t=ns.t, n=ns.n, seed=ns.seed)
     series = sample_displacements(spec)
     pairs = [("m", repr(ns.m)), ("t", repr(ns.t)), ("n", str(ns.n)),
@@ -370,7 +380,7 @@ def _cmd_synth(ns) -> str:
                    table=lambda fh: write_displacements(series, fh))
 
 
-def _cmd_predict(ns) -> str:
+def _cmd_predict(ns):
     m_hat, prior, t = ns.m_hat, ns.prior_close, ns.t
     if m_hat is None:
         raise UsageError("predict needs --m-hat (flag or config file)")
@@ -385,7 +395,7 @@ def _cmd_predict(ns) -> str:
         "predicted_extreme_ratio": ratio, "predicted_extreme_points": points})
 
 
-def _cmd_backtest(ns) -> str:
+def _cmd_backtest(ns):
     # a missing --input is reported first, a missing week before any read
     if ns.input is not None and ns.crash_week is None:
         raise UsageError("backtest needs --crash-week (flag or config file)")

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -32,18 +33,31 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_process(argv, closed=(), stdin=None, text=True,
-                entry=("-c", "from oscmarkets.cli import run; run()"), **env):
+ENTRY = ("-c", "from oscmarkets.cli import run; run()")
+
+
+def child_env(unbuffered=False, **env):
+    """The environment of a CLI child: no config file, this package on the
+    path, and a block-buffered stdout unless `unbuffered`, whatever
+    PYTHONUNBUFFERED the tests themselves run under."""
+    child = {k: v for k, v in os.environ.items()
+             if k not in (CONFIG_ENV, "PYTHONUNBUFFERED")}
+    child["PYTHONPATH"] = str(Path(oscmarkets.__file__).parents[1])
+    if unbuffered:
+        child["PYTHONUNBUFFERED"] = "1"
+    return {**child, **env}
+
+
+def run_process(argv, closed=(), stdin=None, stdout=subprocess.PIPE,
+                text=True, unbuffered=False, entry=ENTRY, **env):
     """Run the CLI in a fresh interpreter, with the file descriptors in
-    `closed` closed; return (code, stdout, stderr), as bytes unless text."""
-    child_env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV}
-    child_env["PYTHONPATH"] = str(Path(oscmarkets.__file__).parents[1])
-    child_env.update(env)
+    `closed` closed and stdout buffered as child_env says; return (code,
+    stdout, stderr), as bytes unless text, stdout None unless piped."""
     proc = subprocess.run(
-        [sys.executable, *entry, *argv], env=child_env, capture_output=True,
-        text=text, timeout=120, stdin=stdin,
-        preexec_fn=(lambda: [os.close(fd) for fd in closed]) if closed
-        else None)
+        [sys.executable, *entry, *argv], env=child_env(unbuffered, **env),
+        stdin=stdin, stdout=stdout, stderr=subprocess.PIPE, text=text,
+        timeout=120, preexec_fn=(lambda: [os.close(fd) for fd in closed])
+        if closed else None)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -250,8 +264,8 @@ class TestGridEdgeWarning:
         code, out, err = run(capsys, "estimate", "--input", sample,
                              "--grid", "10:100:50")
         assert code == 0
-        assert grab(out, "m_hat") == "100.0000"
-        assert err == ("warning: m_hat 100.0000 at the edge of the search "
+        assert grab(out, "m_hat") == "100"
+        assert err == ("warning: m_hat 100 at the edge of the search "
                        "grid [10.0, 100.0]\n")
 
     def test_estimate_refined_inside_last_cell(self, capsys, tmp_path):
@@ -262,7 +276,7 @@ class TestGridEdgeWarning:
         code, out, err = run(capsys, "estimate", "--input", str(path),
                              "--grid", "100:5000:7")
         assert (code, err) == (0, "")
-        assert grab(out, "m_hat") == "4234.0577"
+        assert grab(out, "m_hat") == "4234.057725"
 
     def test_estimate_interior(self, capsys, sample):
         code, out, err = run(capsys, "estimate", "--input", sample,
@@ -277,8 +291,8 @@ class TestGridEdgeWarning:
         assert want[0] == 0 and want[2] == ""
         code, out, err = run(capsys, *argv, "--grid", "10:100:50")
         assert code == 0
-        assert grab(out, "m_hat") == "100.0000"
-        assert err.startswith("warning: m_hat 100.0000 at the edge")
+        assert grab(out, "m_hat") == "100"
+        assert err.startswith("warning: m_hat 100 at the edge")
         assert err.count("\n") == 1
 
 
@@ -345,6 +359,49 @@ class TestIngest:
         assert (code, out) == (2, "")
         assert err == ("data error: price series needs at least 2 points, "
                        "got 1\n")
+
+
+class TestStreamedOutput:
+    """Output goes straight to its destination as it is made, and only
+    once the command has its whole result."""
+
+    def test_structured_peak_tracks_output(self, monkeypatch):
+        # the whole output never sits in memory, nor a copy of it
+        class Sink:
+            chars = 0
+
+            def write(self, text):
+                self.chars += len(text)
+
+            def flush(self):
+                pass
+
+        sink = Sink()
+        monkeypatch.setattr("sys.stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["synth", "--m", "977.73", "--n", "20000",
+                         "--format", "structured"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sink.chars > 2_000_000
+        assert peak < 4 * sink.chars
+
+    @pytest.mark.parametrize("existing", [b"kept\n\xff", None])
+    def test_failed_command_keeps_output_file(self, capsys, tmp_path,
+                                              existing):
+        bad, output = tmp_path / "bad.csv", tmp_path / "out.txt"
+        bad.write_text("date,close\n2001-01-05,ten\n")
+        if existing is not None:
+            output.write_bytes(existing)
+        code, out, err = run(capsys, "estimate", "--input", str(bad),
+                             "--output", str(output))
+        assert (code, out) == (2, "") and err.startswith("data error: ")
+        if existing is None:
+            assert not output.exists()
+        else:
+            assert output.read_bytes() == existing
 
 
 class TestBacktestCommand:
@@ -726,6 +783,33 @@ class TestExitCodes:
         assert err == ("data error: cannot write standard output: it is "
                        "closed\n")
 
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_reader_leaves_early_process(self, unbuffered):
+        # `synth ... | head -c 100`: the reader has what it wants
+        with subprocess.Popen(
+                [sys.executable, *ENTRY, "synth", "--m", "977.73", "--n",
+                 "20000", "--format", "csv"], env=child_env(unbuffered),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert head.startswith(b"# config: command=synth")
+        assert (code, err) == (0, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full device")
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_stdout_write_fails_process(self, unbuffered):
+        # every write to /dev/full fails with ENOSPC
+        with open("/dev/full", "w") as full:
+            code, out, err = run_process(
+                ["predict", "--m-hat", "977.73", "--prior-close", "1099.23"],
+                stdout=full, unbuffered=unbuffered)
+        assert (code, out) == (2, None)
+        assert err.startswith("data error: cannot write standard output: ")
+        assert err.count("\n") == 1
+
     @staticmethod
     def undecodable_input(tmp_path):
         """A price file whose name holds the byte 0xff, not valid UTF-8."""
@@ -883,17 +967,17 @@ class TestOneSpellingPerField:
 
     @pytest.mark.parametrize("argv, text", [
         (("predict", "--m-hat", "977.73", "--prior-close", "1099.23"),
-         ["m_hat: 977.7300", "t: 1", "prior_close: 1099.2300",
+         ["m_hat: 977.73", "t: 1", "prior_close: 1099.2300",
           "predicted_extreme_ratio: 0.284175",
           "predicted_extreme_points: 312.37"]),
         (("backtest", "--input", str(CRASH), "--crash-week", "2004-12-06"),
-         ["asset: backtest_crash", "m_hat: 899.9999", "r2: 1.000000",
+         ["asset: backtest_crash", "m_hat: 899.999943", "r2: 1.000000",
           "prior_close: 95.2779", "predicted_extreme_ratio: 0.296192",
           "predicted_extreme_points: 28.22", "actual_points: 31.04",
           "actual_ratio: 0.325811", "violated: yes",
           "years_from_train_to_crash: 2.0"]),
         (("estimate", "--input", str(QUIET), "--window", "0:100"),
-         ["m_hat: 899.9999", "r2: 1.000000", "sample_size: 100"])])
+         ["m_hat: 899.999943", "r2: 1.000000", "sample_size: 100"])])
     def test_formats_agree(self, capsys, argv, text):
         outs = {}
         for fmt in ("structured", "csv", "text"):

@@ -645,7 +645,7 @@ class TestResultSurface:
 
         text = cli_estimate(capsys, path).splitlines()
         assert text[0].startswith("# config: ")
-        assert text[1] == f"m_hat: {result.m_hat:.4f}"
+        assert text[1] == f"m_hat: {result.m_hat:.10g}"
         assert f"r2: {result.r2:.6f}" in text and "X" in text[7]
 
         lines = cli_estimate(capsys, path, "--format", "csv",
