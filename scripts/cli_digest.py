@@ -4,9 +4,11 @@ Every command runs in-process through oscmarkets.cli.main: each subcommand
 in each --format and --emit on the backtest fixtures of tests/data and on a
 small daily price file written here, plus estimate --grid 10:100:50 and
 5000:9000:50 (grid-edge hits that warn on stderr), a few failing commands
-and one `synth | estimate --stdin` pipe. Last, a config file sets every
+and one `synth | estimate --stdin` pipe. Then a config file sets every
 config key, and each subcommand runs under it in each --format with none
-of the flags those keys stand for, then once with some overridden. The
+of the flags those keys stand for, then once with some overridden. Last,
+`--help` of the top level and of each subcommand, with COLUMNS=80 so that
+argparse wraps the help text the same on every terminal. The
 digest covers repr((argv, exit code, stdout, stderr)) of every command in
 order, so two source trees give the same digest exactly when the CLI
 writes the same bytes and exits the same way on all of them.
@@ -14,7 +16,7 @@ writes the same bytes and exits the same way on all of them.
 The commands run in a temporary directory holding copies of the fixtures
 under the same relative paths, so the `# config:` echo of each input path
 does not depend on where the checkout lives. OPENBLAS_NUM_THREADS is set
-to 1 unless already set.
+to 1 unless already set, and COLUMNS is always set to 80.
 
 The digest depends on the numpy and BLAS build and on the CPU (the SIMD
 paths of exp and sqrt, the BLAS kernels), so it compares two commits on
@@ -38,6 +40,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else ROOT / "src")
 sys.path.insert(0, str(SRC.resolve()))
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ["COLUMNS"] = "80"
 
 from oscmarkets import cli  # noqa: E402
 
@@ -148,6 +151,11 @@ def main() -> None:
             record(["backtest", "--input", FIXTURES[0], "--crash-week",
                     "2004-12-06", "--t", "1", "--window", "0:100",
                     "--format", "csv"])
+            os.environ.pop(cli.CONFIG_ENV)
+            record(["--help"])
+            for command in ("ingest", "estimate", "synth", "predict",
+                            "backtest"):
+                record([command, "--help"])
         finally:
             os.environ.pop(cli.CONFIG_ENV, None)
             if saved_config is not None:

@@ -28,10 +28,10 @@ import datetime as dt
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -127,11 +127,39 @@ def _date_value(text: str) -> dt.date:
     return _parsed(_iso_date, text, "dates are YYYY-MM-DD, got {text!r}")
 
 
-# each config key and the type function of the flag it stands in for
-_CONFIG_TYPES = {"t": _positive_float, "train_count": _count_value,
-                 "grid": _grid_value, "seed": _seed_value,
-                 "crash_week": _date_value, "prior_close": _positive_float,
-                 "m_hat": _positive_float}
+# Every flag, by its name in the namespace and in the config file, with
+# its add_argument options, in the order the `# config:` echo prints them.
+# --emit's options differ by command, so it holds one set per command.
+_FLAGS = {
+    "input": dict(help="input CSV path, or - for stdin"),
+    "output": dict(default="-", help="output path (default: stdout)"),
+    "format": dict(choices=("text", "csv", "structured"), default="text"),
+    "m": dict(type=_positive_float, required=True),
+    "m_hat": dict(type=_positive_float),
+    "t": dict(type=_positive_float, default=1.0),
+    "window": dict(type=_window_value, metavar="START:COUNT",
+                   help="weeks fitted (default: all; backtest 0:100)"),
+    "grid": dict(type=_grid_value, metavar="LO:HI:N"),
+    "crash_week": dict(type=_date_value, metavar="YYYY-MM-DD"),
+    "resample": dict(choices=("none", "daily-to-weekly"), default="none"),
+    "emit": {"ingest": dict(
+                 choices=("prices", "displacements"), default="displacements",
+                 help="csv/structured payload (default: displacements)"),
+             "estimate": dict(choices=("table", "grid"), default="table",
+                              help="csv payload (default: threshold table)")},
+    "n": dict(type=_count_value, default=100),
+    "seed": dict(type=_seed_value, default=0),
+    "prior_close": dict(type=_positive_float),
+    "stdin": dict(action="store_true",
+                  help="read displacements or prices from stdin"),
+}
+
+# each config key and the type function of the flag it stands in for;
+# train_count, backtest's window length when --window is not given, has
+# no flag
+_CONFIG_TYPES = {"train_count": _count_value, **{
+    key: _FLAGS[key]["type"]
+    for key in ("t", "grid", "seed", "crash_week", "prior_close", "m_hat")}}
 
 
 def _load_config_file() -> dict:
@@ -173,6 +201,11 @@ _TEXT_FORMAT = {"m_hat": ".10g", "r2": ".6f", "t": "g", "prior_close": ".4f",
                 "predicted_extreme_points": ".2f", "actual_points": ".2f",
                 "actual_ratio": ".6f", "years_from_train_to_crash": ".1f"}
 _TEXT_LABEL = {"asset_id": "asset"}
+# how the `# config:` echo prints a flag's value where str does not (str
+# is repr for a float and YYYY-MM-DD for a date)
+_CONFIG_TEXT = {"window": lambda w: "%d:%d" % w if w else "all",
+                "grid": lambda g: (f"{g.lo!r}:{g.hi!r}:{g.n}" if g else
+                                   f"auto:{est.DEFAULT_GRID_POINTS}")}
 
 
 def _text_value(name: str, value) -> str:
@@ -190,6 +223,11 @@ def _warn_grid_edge(fit: est.EstimationResult) -> None:
               f"of the search grid [{lo!r}, {hi!r}]", file=sys.stderr)
 
 
+def _asset_id(path: str) -> str:
+    """The label of the input at `path`: the file's stem, stdin for -."""
+    return "stdin" if path == "-" else Path(path).stem
+
+
 def _read_series(ns, parse):
     """parse(...) of the CSV at ns.input (- for stdin), labelled with the
     file's stem: the one place a command reads its input."""
@@ -198,24 +236,43 @@ def _read_series(ns, parse):
     stdin = ns.input == "-"
     if stdin and sys.stdin is None:
         raise DataError("cannot read standard input: it is closed")
-    try:
-        # bytes from either source, so both decode and end lines alike
-        if stdin:
-            text = _as_text(getattr(sys.stdin, "buffer", sys.stdin))
-        else:
-            with open(ns.input, "rb") as fh:
-                text = _as_text(fh)
+    try:  # bytes from either source, so both decode and end lines alike
+        with (contextlib.nullcontext(getattr(sys.stdin, "buffer", sys.stdin))
+              if stdin else open(ns.input, "rb")) as fh:
+            text = _as_text(fh)
     except OSError as exc:
         where = "standard input" if stdin else f"input {ns.input}"
         raise DataError(f"cannot read {where}: {exc}") from None
     return parse(text, resample=ns.resample == "daily-to-weekly",
-                 asset_id="stdin" if stdin else Path(ns.input).stem)
+                 asset_id=_asset_id(ns.input))
 
 
-def _grid_label(spec: Optional[est.GridSpec]) -> str:
-    if spec is None:
-        return f"auto:{est.DEFAULT_GRID_POINTS}"
-    return f"{spec.lo!r}:{spec.hi!r}:{spec.n}"
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A text stream into the file at `path`, which holds the bytes stdout
+    gets in UTF-8 mode. A regular or new file (a symlink's target) is
+    written to a temporary file beside it, renamed over it at the end with
+    the old file's permission bits, so a failed write leaves it as it was.
+    A file that may not be opened to write is refused, as in place. A FIFO
+    or a device is written in place."""
+    target = os.path.realpath(path)
+    text = dict(encoding="utf-8", errors="surrogateescape")
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, "w", **text) as out:
+            yield out
+        return
+    tmp = f"{target}.{os.urandom(4).hex()}.tmp"
+    with open(tmp, "x", **text) as out:  # a new file's bits, as open() gives
+        try:
+            yield out
+            out.close()
+            if os.path.exists(target):
+                open(path, "r+").close()  # fails on a read-only file
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+            os.replace(tmp, target)
+        except BaseException:
+            os.remove(tmp)
+            raise
 
 
 def _emit(ns, write) -> None:
@@ -225,11 +282,9 @@ def _emit(ns, write) -> None:
     where = "standard output" if ns.output == "-" else f"output {ns.output}"
     if ns.output == "-" and sys.stdout is None:
         raise DataError(f"cannot write {where}: it is closed")
-    try:  # --output gets the bytes stdout gets in UTF-8 mode; a strict
-        # stdout rejects an undecodable byte of a file name
+    try:  # a strict stdout rejects an undecodable byte of a file name
         with (contextlib.nullcontext(sys.stdout) if ns.output == "-" else
-              open(ns.output, "w", encoding="utf-8",
-                   errors="surrogateescape")) as out:
+              _replacing(ns.output)) as out:
             write(out)
             out.flush()
     except (OSError, UnicodeEncodeError) as exc:
@@ -242,18 +297,18 @@ def _emit(ns, write) -> None:
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else str(value)
+    """true or false for a bool, else str: repr for a float."""
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
-def _render(ns, pairs, key: str, scalars: dict, record=None, text=None,
+def _render(ns, key: str, scalars: dict, record=None, text=None,
             table=None):
     """The writer of a command's output in ns.format: the one place that
     knows formats. The writer writes straight into the stream it is given.
 
-    The configuration echo is `command`, `input` (when the command reads
-    one), `output` and `format`, then the command's own `pairs`.
+    The configuration echo is `command`, then each flag the command takes
+    but --stdin, in _FLAGS order, then `asset` when the command reads an
+    input.
     `scalars` holds the command's scalar result fields, name -> value, in
     order. `record`, `text` and `table` are thunks, and only the ones
     ns.format needs are called:
@@ -269,9 +324,13 @@ def _render(ns, pairs, key: str, scalars: dict, record=None, text=None,
         through _TEXT_LABEL and _text_value. With neither scalars nor text,
         text is csv.
     """
+    # which flags the command takes comes from _COMMANDS: config values
+    # are every subcommand's defaults, so the namespace cannot tell
+    flags = _COMMANDS[ns.command][2].split()
     pairs = [("command", ns.command),
-             *([("input", ns.input)] if "input" in ns else []),
-             ("output", ns.output), ("format", ns.format), *pairs]
+             *((name, _CONFIG_TEXT.get(name, str)(getattr(ns, name)))
+               for name in _FLAGS if name in flags and name != "stdin"),
+             *([("asset", _asset_id(ns.input))] if "input" in flags else [])]
 
     def write(out):
         if ns.format == "structured":
@@ -306,26 +365,23 @@ def _records(**columns):
 
 def _displacement_record(d) -> dict:
     return {"asset_id": d.asset_id,
-            "entries": _records(week_end=d.week_end, x_a=d.x_a, x_b=d.x_b,
-                                ratio=d.ratio)}
+            "entries": _records(**{n: getattr(d, n) for n in d.header})}
 
 
 def _cmd_ingest(ns):
     series = _read_series(ns, parse_prices)
-    pairs = [("resample", ns.resample), ("emit", ns.emit),
-             ("asset", series.asset_id)]
     first, last = np.datetime_as_string(series.week_end[[0, -1]], unit="D")
     summary = [("asset", series.asset_id), ("unit", series.unit),
                ("points", len(series)), ("first_week", first),
                ("last_week", last), ("displacements", len(series) - 1)]
     if ns.emit == "prices":
-        return _render(ns, pairs, "series", {}, lambda: {
+        return _render(ns, "series", {}, lambda: {
             "asset_id": series.asset_id, "unit": series.unit,
             "points": _records(date=series.week_end, close=series.close)},
             lambda: summary, lambda fh: write_prices(series, fh))
     # built and checked before any output, whatever the format
     displacements = to_displacements(series)
-    return _render(ns, pairs, "series", {},
+    return _render(ns, "series", {},
                    lambda: _displacement_record(displacements),
                    lambda: summary,
                    lambda fh: write_displacements(displacements, fh))
@@ -340,13 +396,9 @@ def _cmd_estimate(ns):
         raise UsageError("estimate needs --input PATH or --stdin")
     series = _read_series(ns, parse_series)
     if ns.window is not None:
-        series = window(series, ns.window[0], ns.window[1])
+        series = window(series, *ns.window)
     fit = est.fit_m_hat(series, t=ns.t, grid_spec=ns.grid)
     _warn_grid_edge(fit)
-    pairs = [("t", repr(ns.t)),
-             ("window", "%d:%d" % ns.window if ns.window else "all"),
-             ("grid", _grid_label(ns.grid)), ("resample", ns.resample),
-             ("emit", ns.emit), ("asset", series.asset_id)]
     rows, trace = fit.table, fit.grid
     scalars = {"m_hat": fit.m_hat, "r2": fit.r2,
                "sample_size": fit.sample_size}
@@ -358,7 +410,7 @@ def _cmd_estimate(ns):
             _write(fh, ("X", "rho", "pr"), rows.x, rows.rho, rows.pr)
 
     return _render(
-        ns, pairs, "result", scalars,
+        ns, "result", scalars,
         lambda: {"table": _records(X=rows.x, rho=rows.rho, pr=rows.pr),
                  "grid": _records(m_candidate=trace.m, r2=trace.r2)},
         lambda: [("thresholds", len(rows)), ("grid_evaluations", len(trace)),
@@ -371,27 +423,21 @@ def _cmd_estimate(ns):
 def _cmd_synth(ns):
     spec = SynthSpec(m=ns.m, t=ns.t, n=ns.n, seed=ns.seed)
     series = sample_displacements(spec)
-    pairs = [("m", repr(ns.m)), ("t", repr(ns.t)), ("n", str(ns.n)),
-             ("seed", str(ns.seed))]
     # no text view: the displacement table IS the artifact, which keeps
     # `synth | estimate --stdin` composable in text and csv alike
-    return _render(ns, pairs, "series", {},
-                   lambda: _displacement_record(series),
+    return _render(ns, "series", {}, lambda: _displacement_record(series),
                    table=lambda fh: write_displacements(series, fh))
 
 
 def _cmd_predict(ns):
-    m_hat, prior, t = ns.m_hat, ns.prior_close, ns.t
-    if m_hat is None:
+    if ns.m_hat is None:
         raise UsageError("predict needs --m-hat (flag or config file)")
-    if prior is None:
+    if ns.prior_close is None:
         raise UsageError("predict needs --prior-close (flag or config file)")
-    ratio = extreme_displacement(OscillatorParams(m=m_hat, t=t))
-    points = bt.predict_extreme_points(m_hat, t, prior)
-    pairs = [("m_hat", repr(m_hat)), ("t", repr(t)),
-             ("prior_close", repr(prior))]
-    return _render(ns, pairs, "result", {
-        "m_hat": m_hat, "t": t, "prior_close": prior,
+    ratio = extreme_displacement(OscillatorParams(m=ns.m_hat, t=ns.t))
+    points = bt.predict_extreme_points(ns.m_hat, ns.t, ns.prior_close)
+    return _render(ns, "result", {
+        "m_hat": ns.m_hat, "t": ns.t, "prior_close": ns.prior_close,
         "predicted_extreme_ratio": ratio, "predicted_extreme_points": points})
 
 
@@ -400,18 +446,27 @@ def _cmd_backtest(ns):
     if ns.input is not None and ns.crash_week is None:
         raise UsageError("backtest needs --crash-week (flag or config file)")
     series = _read_series(ns, parse_prices)
-    start, count = ns.window or (0, ns.train_count)
-    config = bt.BacktestConfig(crash_week_end=ns.crash_week,
-                               train_start_index=start, train_count=count,
-                               t=ns.t)
+    ns.window = ns.window or (0, ns.train_count)  # echoed as resolved
+    config = bt.BacktestConfig(ns.crash_week, *ns.window, t=ns.t)
     r = bt.run_backtest(series, config, grid_spec=ns.grid)
     _warn_grid_edge(r.fit)
-    pairs = [("t", repr(ns.t)), ("window", f"{start}:{count}"),
-             ("grid", _grid_label(ns.grid)),
-             ("crash_week", ns.crash_week.isoformat()),
-             ("resample", ns.resample), ("asset", series.asset_id)]
-    return _render(ns, pairs, "result", {
+    return _render(ns, "result", {
         f.name: getattr(r, f.name) for f in fields(r) if f.name != "fit"})
+
+
+_READS = "input resample output format"
+# each command: its handler, its help line and its flags in --help order
+_COMMANDS = {
+    "ingest": (_cmd_ingest, "parse and resample prices", _READS + " emit"),
+    "estimate": (_cmd_estimate, "fit the inertial coefficient",
+                 _READS + " t window grid stdin emit"),
+    "synth": (_cmd_synth, "draw synthetic displacements",
+              "output format t m n seed"),
+    "predict": (_cmd_predict, "extreme move in price points",
+                "output format t m_hat prior_close"),
+    "backtest": (_cmd_backtest, "crash-week bound check",
+                 _READS + " t window grid crash_week"),
+}
 
 
 def build_parser(config: dict) -> argparse.ArgumentParser:
@@ -421,58 +476,14 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
         "Oscillator model of weekly price displacements: "
         "estimate inertial coefficients, bound extreme moves."))
     sub = parser.add_subparsers(dest="command", required=True)
-    shared = {
-        "--input": dict(help="input CSV path, or - for stdin"),
-        "--resample": dict(choices=("none", "daily-to-weekly"),
-                           default="none"),
-        "--output": dict(default="-", help="output path (default: stdout)"),
-        "--format": dict(choices=("text", "csv", "structured"),
-                         default="text"),
-        "--t": dict(type=_positive_float, default=1.0),
-        "--window": dict(type=_window_value, metavar="START:COUNT",
-                         help="weeks fitted (default: all; backtest 0:100)"),
-        "--grid": dict(type=_grid_value, metavar="LO:HI:N"),
-    }
-
-    def command(name, handler, flags, help):
-        p = sub.add_parser(name, help=help)
-        for flag in flags.split():
-            p.add_argument(flag, **shared[flag])
-        p.set_defaults(handler=handler)
-        return p
-
-    reads = "--input --resample --output --format"
-    fits = reads + " --t --window --grid"
-    p = command("ingest", _cmd_ingest, reads, "parse and resample prices")
-    p.add_argument("--emit", choices=("prices", "displacements"),
-                   default="displacements",
-                   help="csv/structured payload (default: displacements)")
-
-    p = command("estimate", _cmd_estimate, fits,
-                "fit the inertial coefficient")
-    p.add_argument("--stdin", action="store_true",
-                   help="read displacements or prices from stdin")
-    p.add_argument("--emit", choices=("table", "grid"), default="table",
-                   help="csv payload (default: threshold table)")
-
-    p = command("synth", _cmd_synth, "--output --format --t",
-                "draw synthetic displacements")
-    p.add_argument("--m", type=_positive_float, required=True)
-    p.add_argument("--n", type=_count_value, default=100)
-    p.add_argument("--seed", type=_seed_value, default=0)
-
-    p = command("predict", _cmd_predict, "--output --format --t",
-                "extreme move in price points")
-    p.add_argument("--m-hat", type=_positive_float)
-    p.add_argument("--prior-close", type=_positive_float)
-
-    p = command("backtest", _cmd_backtest, fits, "crash-week bound check")
-    p.add_argument("--crash-week", type=_date_value, metavar="YYYY-MM-DD")
-    p.set_defaults(train_count=100)
-
-    # last, so that no add_argument default overrides a config value
-    for p in sub.choices.values():
-        p.set_defaults(**config)
+    for command, (handler, about, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        for name in flags.split():
+            options = _FLAGS[name]
+            p.add_argument("--" + name.replace("_", "-"),
+                           **options.get(command, options))
+        # last, so that no add_argument default overrides a config value
+        p.set_defaults(handler=handler, **{"train_count": 100, **config})
     return parser
 
 

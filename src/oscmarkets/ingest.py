@@ -87,8 +87,12 @@ def _freeze(series, **dtypes) -> list[np.ndarray]:
     """Replace each named field by a read-only 1-D copy of that dtype."""
     out = []
     for name, dtype in dtypes.items():
+        column = getattr(series, name)
         try:
-            column = np.array(getattr(series, name), dtype=dtype)
+            if isinstance(column, np.ndarray) and column.dtype.kind == "S":
+                # numpy's bytes -> datetime64 cast can crash on a bad date
+                column = column.astype(str)
+            column = np.array(column, dtype=dtype)
         except (TypeError, ValueError) as exc:
             raise DataError(f"column {name}: {exc}") from None
         if column.ndim != 1 or (out and column.size != out[0].size):

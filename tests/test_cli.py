@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import re
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -402,6 +404,113 @@ class TestStreamedOutput:
             assert not output.exists()
         else:
             assert output.read_bytes() == existing
+
+
+class TestAtomicOutputFile:
+    """A regular or new --output file is written whole or not at all; a
+    device is written in place. Each run is a child process."""
+
+    SYNTH = ["synth", "--m", "977.73", "--n", "20000", "--format", "csv"]
+
+    @pytest.mark.parametrize("existing", [b"kept\n\xff", None])
+    def test_failed_write_keeps_output_file(self, tmp_path, existing):
+        # past 100000 bytes every write fails with EFBIG
+        output = tmp_path / "out.csv"
+        if existing is not None:
+            output.write_bytes(existing)
+        _, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        proc = subprocess.run(
+            [sys.executable, *ENTRY, *self.SYNTH, "--output", str(output)],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE,
+                                                  (100000, hard)))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(
+            f"data error: cannot write output {output}: ")
+        assert proc.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == ([] if existing is None
+                                            else [output])
+        if existing is not None:
+            assert output.read_bytes() == existing
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write any file")
+    def test_read_only_file_kept(self, tmp_path):
+        # the directory is writable, so only a check can refuse the rename
+        output = tmp_path / "out.csv"
+        output.write_text("kept\n")
+        output.chmod(0o444)
+        code, out, err = run_process([*self.SYNTH, "--output", str(output)])
+        assert (code, out) == (2, "")
+        assert err == (f"data error: cannot write output {output}: "
+                       f"[Errno 13] Permission denied: '{output}'\n")
+        assert output.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [output]
+
+    def test_device_written_in_place(self):
+        assert run_process([*self.SYNTH, "--output", os.devnull]) == (
+            0, "", "")
+
+    def test_symlink_and_modes_kept(self, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old\n")
+        real.chmod(0o640)
+        link.symlink_to(real.name)
+        new, reference = tmp_path / "new.csv", tmp_path / "reference"
+        reference.write_text("")  # the bits open() gives a new file
+        for target in (link, new):
+            assert run_process([*self.SYNTH, "--output", str(target)]) == (
+                0, "", "")
+        _, out, _ = run_process(self.SYNTH)
+        assert link.is_symlink() and os.readlink(link) == real.name
+        assert real.read_text().replace(f"output={link}", "output=-") == out
+        assert new.read_text().replace(f"output={new}", "output=-") == out
+        assert (real.stat().st_mode & 0o7777) == 0o640
+        assert new.stat().st_mode == reference.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "link.csv", "new.csv", "real.csv", "reference"]
+
+
+class TestConfigEcho:
+    """The `# config:` echo holds `command`, then every flag the command
+    takes but --stdin, in one fixed order, then `asset` when it reads an
+    input; config-file keys reach only the commands with that flag."""
+
+    ORDER = ("input output format m m_hat t window grid crash_week "
+             "resample emit n seed prior_close").split()
+    ARGV = {"ingest": ["--input", "backtest_quiet.csv"],
+            "estimate": ["--input", "backtest_quiet.csv"],
+            "synth": ["--m", "977.73", "--n", "50"],
+            "predict": ["--m-hat", "977.73", "--prior-close", "1099.23"],
+            "backtest": ["--input", "backtest_crash.csv", "--crash-week",
+                         "2004-12-06"]}
+
+    @pytest.mark.parametrize("configured", [False, True])
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_every_flag_echoed(self, capsys, tmp_path, monkeypatch, command,
+                               configured):
+        _, usage, _ = run(capsys, command, "--help")
+        flags = {f.replace("-", "_") for f in re.findall(r"--([a-z-]+)",
+                                                          usage)}
+        flags -= {"help", "stdin"}
+        assert flags <= set(self.ORDER)
+        want = ["command", *(f for f in self.ORDER if f in flags),
+                *(["asset"] if "input" in flags else [])]
+        if configured:
+            cfg = tmp_path / "osc.cfg"
+            cfg.write_text("t = 2\ntrain_count = 80\ngrid = 100:5000:40\n"
+                           "seed = 5\ncrash_week = 2004-12-06\n"
+                           "prior_close = 1099.23\nm_hat = 977.73\n")
+            monkeypatch.setenv(CONFIG_ENV, str(cfg))
+        monkeypatch.chdir(DATA)
+        for fmt in ("csv", "structured"):
+            code, out, err = run(capsys, command, *self.ARGV[command],
+                                 "--format", fmt)
+            assert (code, err) == (0, "")
+            if fmt == "csv":
+                echo = out.splitlines()[0].removeprefix("# config: ")
+                assert [item.split("=")[0] for item in echo.split()] == want
+            else:
+                assert list(json.loads(out)["config"]) == want
 
 
 class TestBacktestCommand:

@@ -3,6 +3,10 @@
 import csv
 import datetime as dt
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -257,6 +261,41 @@ class TestSeriesInvariants:
     def test_price_series_needs_positive_finite_closes(self, bad):
         with pytest.raises(DataError, match="close"):
             PriceSeries("x", ["2001-01-05", "2001-01-12"], [10.0, bad])
+
+    # numpy's bytes -> datetime64 cast of 1000 rows, one of them a bad
+    # date, ends the process with SIGSEGV, so the constructor runs in a
+    # child: a crash then fails this test instead of ending pytest
+    BYTES_DAYS = """
+import numpy as np
+from oscmarkets.errors import DataError
+from oscmarkets.ingest import DisplacementSeries, PriceSeries
+n = 1000
+days = np.array(["2001-01-%02d" % (1 + i % 28) for i in range(n)], "S10")
+days[n // 2] = b"2001-13-01"
+try:
+    {build}
+except DataError as exc:
+    print(exc)
+"""
+
+    @pytest.mark.parametrize("build", [
+        "PriceSeries('x', days, np.ones(n))",
+        "DisplacementSeries('x', days, np.ones(n), np.ones(n), np.zeros(n))"])
+    def test_bad_bytes_date_is_data_error(self, build):
+        proc = subprocess.run(
+            [sys.executable, "-c", self.BYTES_DAYS.format(build=build)],
+            env={**os.environ,
+                 "PYTHONPATH": str(Path(ingest.__file__).parents[1])},
+            capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == ("column week_end: Month out of range in "
+                               'datetime string "2001-13-01"\n')
+
+    def test_bytes_dates_read_as_text(self):
+        days = np.array([b"2001-01-05", b"2001-01-12"])
+        s = PriceSeries("x", days, [10.0, 11.0])
+        assert s.week_end.tolist() == [dt.date(2001, 1, 5),
+                                       dt.date(2001, 1, 12)]
 
     def test_columns_are_read_only_copies(self):
         close = np.array([10.0, 11.0])
