@@ -18,12 +18,13 @@ In order:
      change may move the CLI's bytes knowingly, and says so;
   5. code_lines: scripts/count_code_lines.py totals. The head's count must
      run (gate); the totals are reported.
-  6. cli_memory: the peak RSS in MB of `synth --m 977.73 --n 400000
-     --seed 1 --output FILE` in csv and in structured format, each run
-     alone under a small launcher that reads its own RUSAGE_CHILDREN
-     high-water mark, so the figure is that CLI process's and not
-     pytest's. The head's runs must succeed (gate); the figures, REF's
-     too, are reported.
+  6. cli_memory: the peak RSS in MB and the wall seconds of `synth --m
+     977.73 --n 400000 --seed 1 --output FILE` in csv and in structured
+     format, each run alone under a small launcher that reads its own
+     RUSAGE_CHILDREN high-water mark, so the figure is that CLI process's
+     and not pytest's, and times the child from spawn to exit. The head's
+     runs must succeed (gate); the figures, REF's too, are reported, not
+     gated: one run each, so the seconds carry the host's noise.
 
 REF's src/ is exported with `git archive` into a temporary directory, so
 the checkout and its git metadata are left as they were.
@@ -46,12 +47,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 THREADS = ("1", "2")
 # the one child of this launcher is a CLI run on the src/ tree in argv[1];
-# it prints that child's peak RSS in MB, or fails with it
+# it prints that child's peak RSS in MB and its wall seconds, or fails
+# with it
 LAUNCHER = """
-import os, resource, subprocess, sys
+import os, resource, subprocess, sys, time
+start = time.perf_counter()
 subprocess.run([sys.executable, "-m", "oscmarkets", *sys.argv[2:]],
                env=dict(os.environ, PYTHONPATH=sys.argv[1]), check=True)
-print(round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1))
+print(round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1),
+      round(time.perf_counter() - start, 2))
 """
 
 
@@ -135,16 +139,18 @@ def main() -> int:
         gate("code_lines", {**{tree: line and int(line.split()[0])
                                for tree, line in totals.items()},
                             "ok": totals["head"] is not None})
-        peaks = {}
+        figures = {}
         for tree, src in trees.items():
             for fmt in ("csv", "structured"):
                 line = last_line(
                     ["-c", LAUNCHER, *(src or ["src"]), "synth", "--m",
                      "977.73", "--n", "400000", "--seed", "1", "--format",
                      fmt, "--output", str(Path(tmp) / f"{tree}.{fmt}")])
-                peaks[f"{tree}_{fmt}_mb"] = line and float(line)
-        gate("cli_memory", {**peaks, "ok": None not in (
-            peaks["head_csv_mb"], peaks["head_structured_mb"])})
+                mb, seconds = line.split() if line else (None, None)
+                figures[f"{tree}_{fmt}_mb"] = mb and float(mb)
+                figures[f"{tree}_{fmt}_s"] = seconds and float(seconds)
+        gate("cli_memory", {**figures, "ok": None not in (
+            figures["head_csv_mb"], figures["head_structured_mb"])})
 
     report["ok"] = ok = all(r["ok"] for r in report.values()
                             if isinstance(r, dict))

@@ -31,6 +31,7 @@ import os
 import stat
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -252,8 +253,9 @@ def _replacing(path: str):
     """A text stream into the file at `path`, which holds the bytes stdout
     gets in UTF-8 mode. A regular or new file (a symlink's target) is
     written to a temporary file beside it, renamed over it at the end with
-    the old file's permission bits, so a failed write leaves it as it was.
-    A file that may not be opened to write is refused, as in place. A FIFO
+    the old file's permission bits, so a failed write leaves it as it was;
+    a temporary file that cannot be created is reported under `path`. A
+    file that may not be opened to write is refused, as in place. A FIFO
     or a device is written in place."""
     target = os.path.realpath(path)
     text = dict(encoding="utf-8", errors="surrogateescape")
@@ -262,7 +264,11 @@ def _replacing(path: str):
             yield out
         return
     tmp = f"{target}.{os.urandom(4).hex()}.tmp"
-    with open(tmp, "x", **text) as out:  # a new file's bits, as open() gives
+    try:  # a new file gets the bits open() gives
+        out = open(tmp, "x", **text)
+    except OSError as exc:  # name the path given, not the random one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    with out:
         try:
             yield out
             out.close()
@@ -301,8 +307,8 @@ def _csv_cell(value) -> str:
     return str(value).lower() if isinstance(value, bool) else str(value)
 
 
-def _render(ns, key: str, scalars: dict, record=None, text=None,
-            table=None):
+def _render(ns, key: str, scalars: dict, text=None, tables=None,
+            members=None, emit=None):
     """The writer of a command's output in ns.format: the one place that
     knows formats. The writer writes straight into the stream it is given.
 
@@ -310,15 +316,19 @@ def _render(ns, key: str, scalars: dict, record=None, text=None,
     but --stdin, in _FLAGS order, then `asset` when the command reads an
     input.
     `scalars` holds the command's scalar result fields, name -> value, in
-    order. `record`, `text` and `table` are thunks, and only the ones
-    ns.format needs are called:
+    order. `tables` maps each table's name to its writer, table(out,
+    json=...), which writes it as csv or as a JSON list through
+    ingest._write_rows. `members` are further fields of structured output
+    only, and `text` a thunk called only for text:
 
-    structured: {"config": {...}, key: {**scalars, **record()}} as
-        indented JSON.
+    structured: {"config": {...}, key: {**scalars, **members, **tables}}
+        as indented JSON; json.dumps writes all but the tables, which are
+        spliced in before the brace that closes key's object, so that
+        object must hold a scalar or a member when there are tables.
     csv: the `# config:` line, then with no table the scalars as one
-        header row and one value row; with a table, the scalars (if any)
-        as one `# result: name=value ...` line, then table(out) writing the
-        body.
+        header row and one value row; with tables, the scalars (if any)
+        as one `# result: name=value ...` line, then the table named
+        `emit` (by default the only one).
     text: the `# config:` line, then one line per scalar and per item of
         text(): a str as it is, and a (name, value) pair as `label: value`
         through _TEXT_LABEL and _text_value. With neither scalars nor text,
@@ -334,10 +344,13 @@ def _render(ns, key: str, scalars: dict, record=None, text=None,
 
     def write(out):
         if ns.format == "structured":
-            json.dump({"config": dict(pairs),
-                       key: {**scalars, **(record() if record else {})}},
-                      out, indent=2)
-            out.write("\n")
+            head = json.dumps({"config": dict(pairs),
+                               key: {**scalars, **(members or {})}}, indent=2)
+            out.write(head[:-6])  # all but the closing "\n  }\n}"
+            for name, table in (tables or {}).items():
+                out.write(f',\n    "{name}": ')
+                table(out, json=True)
+            out.write(head[-6:] + "\n")
             return
         out.write(f"# config: {' '.join(f'{k}={v}' for k, v in pairs)}\n")
         if ns.format == "text" and (scalars or text):
@@ -345,27 +358,15 @@ def _render(ns, key: str, scalars: dict, record=None, text=None,
                 out.write((item if isinstance(item, str) else
                            f"{_TEXT_LABEL.get(item[0], item[0])}: "
                            f"{_text_value(*item)}") + "\n")
-        elif table is None:
+        elif not tables:
             out.write(",".join(scalars) + "\n"
                       + ",".join(map(_csv_cell, scalars.values())) + "\n")
         else:
             if scalars:
                 out.write("# result: " + " ".join(
                     f"{k}={_csv_cell(v)}" for k, v in scalars.items()) + "\n")
-            table(out)
+            tables[emit or next(iter(tables))](out, json=False)
     return write
-
-
-def _records(**columns):
-    """JSON rows of named columns: ISO dates and Python floats."""
-    lists = [np.datetime_as_string(c, unit="D").tolist() if c.dtype.kind == "M"
-             else c.tolist() for c in columns.values()]
-    return [dict(zip(columns, row)) for row in zip(*lists)]
-
-
-def _displacement_record(d) -> dict:
-    return {"asset_id": d.asset_id,
-            "entries": _records(**{n: getattr(d, n) for n in d.header})}
 
 
 def _cmd_ingest(ns):
@@ -375,16 +376,14 @@ def _cmd_ingest(ns):
                ("points", len(series)), ("first_week", first),
                ("last_week", last), ("displacements", len(series) - 1)]
     if ns.emit == "prices":
-        return _render(ns, "series", {}, lambda: {
-            "asset_id": series.asset_id, "unit": series.unit,
-            "points": _records(date=series.week_end, close=series.close)},
-            lambda: summary, lambda fh: write_prices(series, fh))
+        return _render(ns, "series", {}, lambda: summary,
+                       {"points": partial(write_prices, series)},
+                       {"asset_id": series.asset_id, "unit": series.unit})
     # built and checked before any output, whatever the format
     displacements = to_displacements(series)
-    return _render(ns, "series", {},
-                   lambda: _displacement_record(displacements),
-                   lambda: summary,
-                   lambda fh: write_displacements(displacements, fh))
+    return _render(ns, "series", {}, lambda: summary,
+                   {"entries": partial(write_displacements, displacements)},
+                   {"asset_id": series.asset_id})
 
 
 def _cmd_estimate(ns):
@@ -400,33 +399,26 @@ def _cmd_estimate(ns):
     fit = est.fit_m_hat(series, t=ns.t, grid_spec=ns.grid)
     _warn_grid_edge(fit)
     rows, trace = fit.table, fit.grid
-    scalars = {"m_hat": fit.m_hat, "r2": fit.r2,
-               "sample_size": fit.sample_size}
-
-    def table(fh):
-        if ns.emit == "grid":
-            _write(fh, ("m_candidate", "r2"), trace.m, trace.r2)
-        else:
-            _write(fh, ("X", "rho", "pr"), rows.x, rows.rho, rows.pr)
-
     return _render(
-        ns, "result", scalars,
-        lambda: {"table": _records(X=rows.x, rho=rows.rho, pr=rows.pr),
-                 "grid": _records(m_candidate=trace.m, r2=trace.r2)},
+        ns, "result", {"m_hat": fit.m_hat, "r2": fit.r2,
+                       "sample_size": fit.sample_size},
         lambda: [("thresholds", len(rows)), ("grid_evaluations", len(trace)),
                  "", f"{'X':>12}  {'rho':>10}  {'pr':>12}",
                  *(f"{x:>12.6e}  {rho:>10.6f}  {pr:>12.6e}"
                    for x, rho, pr in rows.tolist())],
-        table)
+        {"table": lambda fh, json: _write(fh, ("X", "rho", "pr"), rows.x,
+                                          rows.rho, rows.pr, json=json),
+         "grid": lambda fh, json: _write(fh, ("m_candidate", "r2"), trace.m,
+                                         trace.r2, json=json)}, emit=ns.emit)
 
 
 def _cmd_synth(ns):
-    spec = SynthSpec(m=ns.m, t=ns.t, n=ns.n, seed=ns.seed)
-    series = sample_displacements(spec)
+    series = sample_displacements(SynthSpec(ns.m, ns.t, ns.n, ns.seed))
     # no text view: the displacement table IS the artifact, which keeps
     # `synth | estimate --stdin` composable in text and csv alike
-    return _render(ns, "series", {}, lambda: _displacement_record(series),
-                   table=lambda fh: write_displacements(series, fh))
+    return _render(ns, "series", {}, tables={
+        "entries": partial(write_displacements, series)},
+        members={"asset_id": series.asset_id})
 
 
 def _cmd_predict(ns):

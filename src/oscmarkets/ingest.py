@@ -21,13 +21,16 @@ valid cell, and the column pass must match it bit for bit. A date is
 
 Series are written as CSV with headers `date,close` and
 `week_end,x_a,x_b,ratio`, dates as ISO days and floats with repr, so a
-round trip through text is exact. `_write`, the one table writer (the
-CLI's csv tables go through it too), turns each column into cell text
-once and joins cells with commas and rows with newlines, _ROWS rows at a
-time. No such cell holds a comma, quote, CR or LF, so these are the bytes
-csv.writer would write. A chained displacement series, each week opening
-at the prior week's close as to_displacements builds it, takes the reprs
-of its closes once for both price columns.
+round trip through text is exact. `_write_rows`, the one table writer
+(every CLI table goes through it, in csv and in structured output),
+turns each column into cell text once, _ROWS rows at a time, and fills
+one row template with it: for csv the cells joined with commas and the
+rows with newlines, which are the bytes csv.writer would write, since no
+such cell holds a comma, quote, CR or LF; for JSON one object per row, as
+json.dumps(..., indent=2) writes it, dates quoted. A chained displacement
+series, each week opening at the prior week's close as to_displacements
+builds it, takes the reprs of its closes once for both price columns, in
+either form.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ _DAY = "datetime64[D]"
 # characters of text read or cut into cells at a time, so that only one
 # chunk exists as a second copy or as str objects at once
 _CHUNK = 1 << 18
-# rows of a CSV table turned into text and written at a time
+# rows of a table turned into text and written at a time
 _ROWS = 1 << 14
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
@@ -460,34 +463,51 @@ def _cells(column: np.ndarray) -> list[str]:
     return list(map(repr, column.tolist()))
 
 
-def _write_rows(fh: IO[str], header, n: int, cells) -> None:
-    """A header row, then n rows, _ROWS at a time: cells(rows) is the text
-    of each column over the slice `rows`. No cell holds a comma, quote, CR
-    or LF, so cells joined by commas are the rows csv.writer would write."""
-    fh.write(",".join(header) + "\n")
-    for start in range(0, n, _ROWS):
-        columns = cells(slice(start, start + _ROWS))
-        fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+def _write_rows(fh: IO[str], header, columns, cells, json=False) -> None:
+    """The rows of a table, _ROWS at a time: one row per index of the
+    `columns`, and cells(rows) the text of each column over the slice
+    `rows`. The two forms differ only in the row template and in the text
+    before, between and after the rows.
+
+    csv: a header row, then the cells joined by commas and the rows by
+    newlines. No cell holds a comma, quote, CR or LF, so these are the
+    rows csv.writer would write.
+    JSON: the list of one object per row, keyed by the header, that
+    json.dumps(..., indent=2) writes as a member of a member of the top
+    object: a date column's cells (ISO days) are strings, and the others
+    (float reprs) numbers, as json writes finite floats."""
+    head, row, sep, end = ",".join(header) + "\n", ",".join, "\n", "\n"
+    if json:
+        head, sep, end = "[", ",", "\n    ]"
+        row = ("\n      {" + ",".join(f'\n        "{name}": ' + (
+            '"%s"' if c.dtype.kind == "M" else "%s")
+            for name, c in zip(header, columns)) + "\n      }").__mod__
+    for start in range(0, columns[0].size, _ROWS):
+        block = map(row, zip(*cells(slice(start, start + _ROWS))))
+        fh.write((sep if start else head) + sep.join(block))
+    # no rows: the csv header alone, or JSON's empty list []
+    fh.write(end if columns[0].size else head + end.lstrip())
 
 
-def _write(fh: IO[str], header, *columns: np.ndarray) -> None:
-    """The one CSV table writer: a header row, then one row per index of
-    the columns, dates written as ISO days and floats with repr."""
-    _write_rows(fh, header, columns[0].size,
-                lambda rows: [_cells(c[rows]) for c in columns])
+def _write(fh: IO[str], header, *columns: np.ndarray, json=False) -> None:
+    """A header row, then one row per index of the columns, dates written
+    as ISO days and floats with repr; with `json`, the same rows as a JSON
+    list (see _write_rows)."""
+    _write_rows(fh, header, columns,
+                lambda rows: [_cells(c[rows]) for c in columns], json)
 
 
-def write_prices(series: PriceSeries, fh: IO[str]) -> None:
-    _write(fh, PriceSeries.header, series.week_end, series.close)
+def write_prices(series: PriceSeries, fh: IO[str], json=False) -> None:
+    _write(fh, PriceSeries.header, series.week_end, series.close, json=json)
 
 
-def write_displacements(series: DisplacementSeries, fh: IO[str]) -> None:
+def write_displacements(series: DisplacementSeries, fh: IO[str],
+                        json=False) -> None:
     week_end, x_a, x_b, ratio = (series.week_end, series.x_a, series.x_b,
                                  series.ratio)
     # prices are positive, so equal values have equal bits and reprs
     if not np.array_equal(x_a[1:], x_b[:-1]):
-        _write(fh, DisplacementSeries.header, week_end, x_a, x_b, ratio)
-        return
+        return _write(fh, series.header, week_end, x_a, x_b, ratio, json=json)
     # chained: each week opens at the prior close, so the reprs of the
     # closes serve both price columns
     closes = np.append(x_a[:1], x_b)
@@ -497,4 +517,4 @@ def write_displacements(series: DisplacementSeries, fh: IO[str]) -> None:
         return _cells(week_end[rows]), close[:-1], close[1:], _cells(
             ratio[rows])
 
-    _write_rows(fh, DisplacementSeries.header, ratio.size, cells)
+    _write_rows(fh, series.header, (week_end, x_a, x_b, ratio), cells, json)

@@ -390,6 +390,35 @@ class TestStreamedOutput:
         assert code == 0 and sink.chars > 2_000_000
         assert peak < 4 * sink.chars
 
+    def test_structured_peak_below_output_in_small_blocks(self, monkeypatch):
+        # in blocks of 64 rows, only the series and the sampler's working
+        # arrays outweigh a block: the document is never built as objects
+        class Sink:
+            chars = 0
+
+            def write(self, text):
+                self.chars += len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr("oscmarkets.ingest._ROWS", 64)
+        argv = ["synth", "--m", "977.73", "--format", "structured"]
+        # a first run, so that one-time allocations (caches filled on first
+        # use) are not counted as this run's
+        monkeypatch.setattr("sys.stdout", Sink())
+        assert main([*argv, "--n", "20"]) == 0
+        sink = Sink()
+        monkeypatch.setattr("sys.stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--n", "20000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sink.chars > 2_000_000
+        assert peak < sink.chars
+
     @pytest.mark.parametrize("existing", [b"kept\n\xff", None])
     def test_failed_command_keeps_output_file(self, capsys, tmp_path,
                                               existing):
@@ -404,6 +433,41 @@ class TestStreamedOutput:
             assert not output.exists()
         else:
             assert output.read_bytes() == existing
+
+
+class TestStructuredTables:
+    """Structured output, tables included, is exactly what
+    json.dumps(..., indent=2) writes: when a table's rows split into
+    blocks (of 1 and of 3 rows, and of the default size) and when a table
+    holds one row, for the plain and the chained table writers."""
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("argv, sizes", [
+        (("synth", "--m", "977.73", "--n", "50"), {"entries": 50}),
+        (("synth", "--m", "977.73", "--n", "1"), {"entries": 1}),
+        (("ingest", "--input", str(QUIET)), {"entries": 101}),
+        (("ingest", "--input", str(QUIET), "--emit", "prices"),
+         {"points": 102}),
+        (("ingest", "--input", "two.csv"), {"entries": 1}),
+        (("ingest", "--input", "two.csv", "--emit", "prices"),
+         {"points": 2}),
+        # the grid's length depends on the refinement: not checked
+        (("estimate", "--input", str(QUIET)), {"table": 100, "grid": None})])
+    def test_equals_json_dumps(self, capsys, monkeypatch, tmp_path, argv,
+                               sizes, rows):
+        monkeypatch.chdir(tmp_path)
+        Path("two.csv").write_text("date,close\n2001-01-05,100\n"
+                                   "2001-01-12,101.5\n")
+        if rows is not None:
+            monkeypatch.setattr("oscmarkets.ingest._ROWS", rows)
+        code, out, err = run(capsys, *argv, "--format", "structured")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n"
+        body = doc["series" if argv[0] != "estimate" else "result"]
+        lengths = {k: len(v) for k, v in body.items() if isinstance(v, list)}
+        assert list(lengths) == list(sizes)
+        assert all(lengths[k] == n for k, n in sizes.items() if n)
 
 
 class TestAtomicOutputFile:
@@ -445,6 +509,17 @@ class TestAtomicOutputFile:
                        f"[Errno 13] Permission denied: '{output}'\n")
         assert output.read_text() == "kept\n"
         assert list(tmp_path.iterdir()) == [output]
+
+    def test_missing_directory_names_given_path(self, tmp_path):
+        # the message names the path given, not the temporary file with
+        # its random suffix, so it is the same from run to run
+        output = tmp_path / "nodir" / "x.csv"
+        argv = ["synth", "--m", "977.73", "--n", "20", "--output", str(output)]
+        first, second = run_process(argv), run_process(argv)
+        assert first == second
+        assert first == (2, "", f"data error: cannot write output {output}: "
+                         f"[Errno 2] No such file or directory: '{output}'\n")
+        assert not output.parent.exists()
 
     def test_device_written_in_place(self):
         assert run_process([*self.SYNTH, "--output", os.devnull]) == (
