@@ -9,9 +9,12 @@ all as Python floats. So two source trees give the same digest exactly when
 all 300 fits are bit-identical, whatever container holds the table and the
 trace.
 
-The digest depends on the numpy and BLAS build and on the CPU (the SIMD
-paths of exp and sqrt, the BLAS kernels), so it compares two commits on
-one machine only; it is not a portable reference value.
+The fit computes r^2 without BLAS, so the digest does not depend on the
+BLAS kernel or the thread count: it reads the same under one and two
+OpenBLAS threads and under OPENBLAS_CORETYPE=Haswell (scripts/gates.py
+checks both). It may still depend on the numpy build and on the CPU (the
+SIMD paths of exp and sqrt), so it compares two commits on one machine
+only; it is not a portable reference value.
 
     python scripts/fit_digest.py            # this checkout's src/
     python scripts/fit_digest.py OTHER/src  # another checkout's src/

@@ -6,19 +6,23 @@
 In order:
 
   1. tier1: the whole test suite under one BLAS thread (gate);
-  2. block_scoring: the TestBlockScoring and TestBatchedRefinement tests
+  2. tier1_haswell: the same under OpenBLAS's Haswell kernel (gate);
+  3. block_scoring: the TestBlockScoring and TestBatchedRefinement tests
      under two BLAS threads, since block scoring must equal one-shot
      scoring bit for bit whatever the thread count (gate);
-  3. fit_digest: scripts/fit_digest.py under one and two BLAS threads. With
-     --base, REF's src/ is digested too, by this checkout's script on this
-     machine, and the two must be equal: a change must leave every fit
-     bit-identical (gate);
-  4. cli_digest: scripts/cli_digest.py the same way. The head's script
+  4. fit_digest: scripts/fit_digest.py under one and two BLAS threads, each
+     under the kernel OpenBLAS picks for this CPU and under its Haswell
+     kernel. With --base, REF's src/ is digested too, by this checkout's
+     script on this machine, and the two must be equal: a change must
+     leave every fit bit-identical (gate). fit_digest_kernels: the head's
+     four digests must be one value, since no fit may depend on the BLAS
+     kernel or thread count (gate);
+  5. cli_digest: scripts/cli_digest.py the same way. The head's script
      must run (gate); whether its digest equals REF's is reported, since a
      change may move the CLI's bytes knowingly, and says so;
-  5. code_lines: scripts/count_code_lines.py totals. The head's count must
+  6. code_lines: scripts/count_code_lines.py totals. The head's count must
      run (gate); the totals are reported.
-  6. cli_memory: the peak RSS in MB and the wall seconds of `synth --m
+  7. cli_memory: the peak RSS in MB and the wall seconds of `synth --m
      977.73 --n 400000 --seed 1 --output FILE` in csv and in structured
      format, each run alone under a small launcher that reads its own
      RUSAGE_CHILDREN high-water mark, so the figure is that CLI process's
@@ -26,8 +30,11 @@ In order:
      runs must succeed (gate); the figures, REF's too, are reported, not
      gated: one run each, so the seconds carry the host's noise.
 
-REF's src/ is exported with `git archive` into a temporary directory, so
-the checkout and its git metadata are left as they were.
+A kernel is chosen by setting OPENBLAS_CORETYPE in the child's environment
+only, which stands in for a CPU on which OpenBLAS picks that kernel; the
+default runs have OPENBLAS_CORETYPE removed. REF's src/ is exported with
+`git archive` into a temporary directory, so the checkout and its git
+metadata are left as they were.
 
 Each gate prints one line, then one JSON line sums them all up: each
 gate's result, the digests, the code-line totals, the tier-1 counts and
@@ -46,6 +53,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 THREADS = ("1", "2")
+HASWELL = "Haswell"
+KERNELS = {"": None, "_haswell": HASWELL}  # step-name suffix: core type
 # the one child of this launcher is a CLI run on the src/ tree in argv[1];
 # it prints that child's peak RSS in MB and its wall seconds, or fails
 # with it
@@ -59,12 +68,16 @@ print(round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1),
 """
 
 
-def python(args, threads="1"):
-    """`python args` from the checkout's root with src/ on the path and
-    `threads` BLAS threads: (exit code, output, seconds)."""
+def python(args, threads="1", core=None):
+    """`python args` from the checkout's root with src/ on the path,
+    `threads` BLAS threads and OpenBLAS core type `core` (None: the one
+    OpenBLAS picks): (exit code, output, seconds)."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join(
                    filter(None, ("src", os.environ.get("PYTHONPATH")))))
+    env.pop("OPENBLAS_CORETYPE", None)
+    if core:
+        env["OPENBLAS_CORETYPE"] = core
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True)
@@ -72,10 +85,10 @@ def python(args, threads="1"):
             round(time.perf_counter() - start, 1))
 
 
-def pytest(args, threads):
+def pytest(args, threads, core=None):
     code, out, seconds = python(
         ["-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors", *args], threads)
+         "--continue-on-collection-errors", *args], threads, core)
     lines = out.strip().splitlines()
     counts = {kind: int(n) for n, kind in re.findall(
         r"(\d+) (passed|failed|errors?|skipped|deselected)",
@@ -84,9 +97,9 @@ def pytest(args, threads):
             "threads": int(threads), "seconds": seconds}
 
 
-def last_line(args, threads="1"):
+def last_line(args, threads="1", core=None):
     """The last output line of a script, or None if it failed."""
-    code, out, _ = python(args, threads)
+    code, out, _ = python(args, threads, core)
     lines = out.strip().splitlines()
     return lines[-1] if code == 0 and lines else None
 
@@ -115,6 +128,7 @@ def main() -> int:
               flush=True)
 
     gate("tier1", pytest([], "1"))
+    gate("tier1_haswell", pytest([], "1", HASWELL))
     gate("block_scoring", pytest(
         ["tests/test_estimate.py", "-k",
          "TestBlockScoring or TestBatchedRefinement"], "2"))
@@ -124,16 +138,25 @@ def main() -> int:
             trees["base"] = [export_src(args.base, tmp)]
         for script, must_match in (("fit_digest", True),
                                    ("cli_digest", False)):
-            for threads in THREADS:
-                digests = {tree: last_line([f"scripts/{script}.py", *src],
-                                           threads)
-                           for tree, src in trees.items()}
-                same = None not in digests.values() and len(
-                    set(digests.values())) == 1
-                # the head's script must run; only fit_digest must match
-                gate(f"{script}_threads{threads}", {
-                    **digests, "same": same,
-                    "ok": same if must_match else digests["head"] is not None})
+            heads = []
+            for suffix, core in KERNELS.items():
+                for threads in THREADS:
+                    digests = {tree: last_line(
+                        [f"scripts/{script}.py", *src], threads, core)
+                        for tree, src in trees.items()}
+                    heads.append(digests["head"])
+                    same = None not in digests.values() and len(
+                        set(digests.values())) == 1
+                    # the head's script must run; only fit_digest must match
+                    gate(f"{script}{suffix}_threads{threads}", {
+                        **digests, "same": same,
+                        "ok": same if must_match
+                        else digests["head"] is not None})
+            if must_match:
+                values = set(heads)
+                gate(f"{script}_kernels", {"head": sorted(map(str, values)),
+                                           "ok": None not in values
+                                           and len(values) == 1})
         totals = {tree: last_line(["scripts/count_code_lines.py", *src])
                   for tree, src in trees.items()}
         gate("code_lines", {**{tree: line and int(line.split()[0])

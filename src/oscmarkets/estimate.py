@@ -20,32 +20,28 @@ fixed inputs. A fit records whether the refined m_hat sits on the first or
 the last candidate, within 1e-6 relative (`at_grid_edge`), the sign that
 the optimum may lie outside the searched bracket.
 
-The grid is scored in blocks of rows holding about 2^16 tail-matrix
-elements each, so a fit needs O(block x T) memory rather than O(grid x T)
-for T thresholds. A fit allocates one erfc workspace (see the specfun
-module) for its largest block (`_grid_workspace`): four float64 rows of
-about 512 KB each and two bool rows. Every block, every refinement batch
-and the table's pr are computed in it, and `_score_rows` centres each block
-in place, so no block allocates a block-sized array. With fresh temporaries
-a block took about 2.5 MB of new pages (some 9,400 minor page faults per
-fit at N = 1000), more than a core's 2 MiB L2 cache; the reused rows are
-the same pages from block to block. Blocks are 8-row aligned: each starts
-at a multiple of 8, and a trailing block shorter than 8 rows joins the one
-before it. The BLAS matrix-vector product behind r^2 rounds the rows of a
-short trailing group differently, so with this alignment every score
-equals, bit for bit, the score of the whole grid in one product on one
-thread, whatever the number of BLAS threads.
+The grid is scored in max(1, round(n T / 2^16)) near-equal blocks of
+rows (`_block_count`), so a fit needs O(block x T) memory rather than
+O(grid x T) for n candidates and T thresholds. A fit allocates one erfc
+workspace (see the specfun module) for its largest block
+(`_grid_workspace`): four float64 rows of about 512 KB each and two bool
+rows. Every block, every refinement batch and the table's pr are computed
+in it, and `_score_rows` centres each block in place, so no block
+allocates a block-sized array. With fresh temporaries a block took about
+2.5 MB of new pages (some 9,400 minor page faults per fit at N = 1000),
+more than a core's 2 MiB L2 cache; the reused rows are the same pages from
+block to block. r^2's sums are np.einsum rows, computed without BLAS, so a
+row's score does not depend on the rows scored with it, on the BLAS kernel
+or on the thread count.
 
-The refinement scores its points ahead of need. In a golden-section state
-the last comparison fixes the next point, and the comparison after it
-picks one of two points to follow; one tail matrix holds all three, and
-the pass walks one or two steps through them. It traces only the points
-it visits, so a fit scores the sequential pass's points, in its order, in
-about half as many tail matrices. For bit-identical scores each point is
-math.exp of its log, as the sequential pass computed it (np.exp may round
-differently), and each row's product with the empirical curve is a
-one-row product of its own, since the BLAS rounds the rows of a multi-row
-product differently.
+The refinement scores its points ahead of need. The point a golden-section
+step evaluates depends only on the outcomes of the comparisons before it,
+so on a miss one tail matrix scores the point and the tree of points the
+next `depth` steps may visit (`_tree`): 2^(depth+1) - 1 rows, the most
+that fit in 2^12 tail elements, and at least 3 (`_depth`). The pass traces
+only the points it visits, in its order, so its trace equals the
+one-point-at-a-time pass bit for bit. Each point is math.exp of its log,
+as the sequential pass computed it (np.exp may round differently).
 
 r^2 is the squared Pearson correlation, so it lies in [0, 1], and a
 candidate whose tail curve is flat at float resolution scores exactly 0.
@@ -81,6 +77,7 @@ MAX_GRID_POINTS = 10 ** 6
 BRACKET_FACTOR = 4.0
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BLOCK_ELEMENTS = 1 << 16
+_TREE_ELEMENTS = 1 << 12
 _TOL = 1e-9  # golden-section stop: bracket width in log m
 
 
@@ -184,62 +181,69 @@ def _tail_matrix(m_values: np.ndarray, thresholds: np.ndarray, t: float,
     return e
 
 
-def _score_rows(pr: np.ndarray, rho: np.ndarray,
-                rowwise: bool = False) -> np.ndarray:
-    """Per-row r^2 of theoretical curves against the empirical curve.
+def _centred(rho: np.ndarray) -> tuple:
+    """The empirical curve centred, and its sum of squares: r^2's half that
+    every candidate shares."""
+    oc = rho - rho.mean()
+    return oc, float(np.einsum("i,i->", oc, oc))
+
+
+def _score_rows(pr: np.ndarray, oc: np.ndarray, ss_o: float) -> np.ndarray:
+    """Per-row r^2 of theoretical curves against the centred empirical curve
+    `oc`, whose sum of squares is `ss_o`.
 
     Centres `pr` in place. Rows whose curve is flat at float resolution
     (candidate m far outside the data's scale) score 0 rather than raising:
-    they are legitimate grid members, just hopeless ones. `rowwise` takes
-    each row's product with the empirical curve on its own, as a one-row
-    matrix.
+    they are legitimate grid members, just hopeless ones.
     """
-    oc = rho - rho.mean()
-    ss_o = float(oc @ oc)
     pr -= pr.mean(axis=1, keepdims=True)
     ss_p = np.einsum("ij,ij->i", pr, pr)
-    num = (np.concatenate([pr[i:i + 1] @ oc for i in range(len(pr))])
-           if rowwise else pr @ oc)
+    num = np.einsum("ij,j->i", pr, oc)
     with np.errstate(invalid="ignore", divide="ignore"):
         r2 = np.where(ss_p > 0.0, (num * num) / (ss_p * ss_o), 0.0)
     return np.minimum(r2, 1.0)
 
 
-def _block_rows(n_thresholds: int) -> int:
-    """Grid rows per scoring block: about _BLOCK_ELEMENTS, a multiple of 8."""
-    return max(8, (_BLOCK_ELEMENTS // n_thresholds) // 8 * 8)
+def _block_count(n_rows: int, n_thresholds: int) -> int:
+    """How many near-equal blocks of about _BLOCK_ELEMENTS tail elements,
+    one row at least, score n_rows grid rows."""
+    return min(n_rows, max(1, round(n_rows * n_thresholds / _BLOCK_ELEMENTS)))
 
 
-def _grid_workspace(n_thresholds: int) -> tuple:
-    """An erfc workspace for any tail matrix of a fit: a scoring block with
-    a folded trailing block (up to 7 rows more), a refinement batch, pr."""
-    return _workspace((_block_rows(n_thresholds) + 7) * n_thresholds)
+def _depth(n_thresholds: int) -> int:
+    """Golden-section steps scored ahead: the largest depth, at least 1,
+    whose tree of 2^(depth+1) - 1 rows fits in _TREE_ELEMENTS."""
+    return max(1, (_TREE_ELEMENTS // n_thresholds + 1).bit_length() - 2)
 
 
-def _next_points(a: float, b: float, c: float, d: float) -> tuple:
-    """The point the golden-section step after state a < c < d < b will
-    evaluate, for each outcome of its comparison; none if it stops first."""
-    if b - a > _TOL:
-        return d - _INVPHI * (d - a), c + _INVPHI * (b - c)
-    return ()
+def _grid_workspace(n_rows: int, n_thresholds: int) -> tuple:
+    """An erfc workspace for any tail matrix of a fit of n_rows grid rows:
+    its largest block, a refinement tree, pr."""
+    rows = max(-(-n_rows // _block_count(n_rows, n_thresholds)),
+               2 ** (_depth(n_thresholds) + 1) - 1)
+    return _workspace(rows * n_thresholds)
+
+
+def _tree(a: float, b: float, c: float, d: float, depth: int) -> list:
+    """The points the next `depth` golden-section steps after state
+    a < c < d < b may evaluate, for every outcome of their comparisons."""
+    if depth == 0 or b - a <= _TOL:
+        return []
+    left, right = d - _INVPHI * (d - a), c + _INVPHI * (b - c)
+    return [left, right, *_tree(a, d, left, c, depth - 1),
+            *_tree(c, b, d, right, depth - 1)]
 
 
 def _score_grid(candidates: np.ndarray, thresholds: np.ndarray,
-                rho: np.ndarray, t: float, ws: tuple) -> np.ndarray:
+                oc: np.ndarray, ss_o: float, t: float,
+                ws: tuple) -> np.ndarray:
     """r^2 of every candidate, scored block by block in the workspace `ws`
     (see module docstring)."""
-    n = candidates.size
-    step = _block_rows(thresholds.size)
-    scores = np.empty(n)
-    start = 0
-    while start < n:
-        stop = start + step
-        if n - stop < 8:  # fold a short trailing block into this one
-            stop = n
-        pr = _tail_matrix(candidates[start:stop], thresholds, t, ws)
-        scores[start:stop] = _score_rows(pr, rho)
-        start = stop
-    return scores
+    blocks = np.array_split(candidates,
+                            _block_count(candidates.size, thresholds.size))
+    return np.concatenate([
+        _score_rows(_tail_matrix(block, thresholds, t, ws), oc, ss_o)
+        for block in blocks])
 
 
 def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
@@ -279,26 +283,26 @@ def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
                                   f"out of range: [{lo!r}, {hi!r}]")
 
         candidates = np.geomspace(lo, hi, grid_spec.n)
-        ws = _grid_workspace(thresholds.size)
-        scores = _score_grid(candidates, thresholds, rho, t, ws)
+        ws = _grid_workspace(grid_spec.n, thresholds.size)
+        oc, ss_o = _centred(rho)
+        scores = _score_grid(candidates, thresholds, oc, ss_o, t, ws)
 
         best = int(np.argmax(scores))  # first max = smallest m on a tie
 
-        extra_m: list[float] = []
-        extra_r2: list[float] = []
+        visited: list[float] = []  # log m of each refinement point, in order
         known: dict[float, float] = {}  # r^2 by log m, scored ahead of need
 
-        def evaluate(log_m: float, *ahead: float) -> float:
-            # traced r^2 at exp(log_m); on a miss, score log_m and the
-            # points `ahead` in one tail matrix (see module docstring)
+        def evaluate(log_m: float, *state: float) -> float:
+            # traced r^2 at exp(log_m), the c or d of `state` (a, b, c, d);
+            # on a miss, one tail matrix scores the state's unscored points
+            # and the points the next steps may visit (see module docstring)
             if log_m not in known:
-                batch = (log_m, *ahead)
-                m = np.array([math.exp(x) for x in batch])
-                r2 = _score_rows(_tail_matrix(m, thresholds, t, ws), rho,
-                                 rowwise=True)
-                known.update(zip(batch, r2.tolist()))
-            extra_m.append(math.exp(log_m))
-            extra_r2.append(known[log_m])
+                new = [x for x in state[2:] if x not in known]
+                new += _tree(*state, _depth(thresholds.size) + 1 - len(new))
+                m = np.array([math.exp(x) for x in new])
+                r2 = _score_rows(_tail_matrix(m, thresholds, t, ws), oc, ss_o)
+                known.update(zip(new, r2.tolist()))
+            visited.append(log_m)
             return known[log_m]
 
         # one golden-section pass around the best candidate, in log space
@@ -306,21 +310,21 @@ def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
         b = math.log(candidates[min(best + 1, grid_spec.n - 1)])
         c = b - _INVPHI * (b - a)
         d = a + _INVPHI * (b - a)
-        fc, fd = evaluate(c, d), evaluate(d)
+        fc, fd = evaluate(c, a, b, c, d), evaluate(d, a, b, c, d)
         while b - a > _TOL:
             if fc >= fd:  # keep the left interval on ties: smaller m wins
                 b, d, fd = d, c, fc
                 c = b - _INVPHI * (b - a)
-                fc = evaluate(c, *_next_points(a, b, c, d))
+                fc = evaluate(c, a, b, c, d)
             else:
                 a, c, fc = c, d, fd
                 d = a + _INVPHI * (b - a)
-                fd = evaluate(d, *_next_points(a, b, c, d))
+                fd = evaluate(d, a, b, c, d)
 
-        m_all = np.concatenate([candidates, extra_m])
+        m_all = np.concatenate([candidates, [math.exp(x) for x in visited]])
         order = np.argsort(m_all, kind="stable")
-        grid = _columns(m=m_all[order],
-                        r2=np.concatenate([scores, extra_r2])[order])
+        grid = _columns(m=m_all[order], r2=np.concatenate(
+            [scores, [known[x] for x in visited]])[order])
         # the first maximum in m order: the smallest m on a tie
         m_hat, best_r2 = grid[np.argmax(grid.r2)].tolist()
         if not best_r2 > 0.0:  # every evaluated curve is flat

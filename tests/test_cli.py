@@ -278,7 +278,7 @@ class TestGridEdgeWarning:
         code, out, err = run(capsys, "estimate", "--input", str(path),
                              "--grid", "100:5000:7")
         assert (code, err) == (0, "")
-        assert grab(out, "m_hat") == "4234.057725"
+        assert grab(out, "m_hat") == "4234.057808"
 
     def test_estimate_interior(self, capsys, sample):
         code, out, err = run(capsys, "estimate", "--input", sample,
@@ -1155,13 +1155,13 @@ class TestOneSpellingPerField:
           "predicted_extreme_ratio: 0.284175",
           "predicted_extreme_points: 312.37"]),
         (("backtest", "--input", str(CRASH), "--crash-week", "2004-12-06"),
-         ["asset: backtest_crash", "m_hat: 899.999943", "r2: 1.000000",
+         ["asset: backtest_crash", "m_hat: 899.9999416", "r2: 1.000000",
           "prior_close: 95.2779", "predicted_extreme_ratio: 0.296192",
           "predicted_extreme_points: 28.22", "actual_points: 31.04",
           "actual_ratio: 0.325811", "violated: yes",
           "years_from_train_to_crash: 2.0"]),
         (("estimate", "--input", str(QUIET), "--window", "0:100"),
-         ["m_hat: 899.999943", "r2: 1.000000", "sample_size: 100"])])
+         ["m_hat: 899.9999416", "r2: 1.000000", "sample_size: 100"])])
     def test_formats_agree(self, capsys, argv, text):
         outs = {}
         for fmt in ("structured", "csv", "text"):

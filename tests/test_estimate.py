@@ -13,8 +13,10 @@ import oscmarkets.estimate as estimate
 from oscmarkets.errors import DataError, DomainError
 from oscmarkets.estimate import (
     DEFAULT_GRID_POINTS,
-    _block_rows,
+    _block_count,
+    _centred,
     _columns,
+    _depth,
     _frequencies,
     _grid_workspace,
     _score_grid,
@@ -148,7 +150,7 @@ class TestRSquared:
     @staticmethod
     def r2(predicted, observed):
         return _score_rows(np.array([predicted], dtype=np.float64),
-                           np.array(observed, dtype=np.float64))[0]
+                           *_centred(np.array(observed, dtype=np.float64)))[0]
 
     def test_perfect(self):
         assert self.r2([0.1, 0.2, 0.4], [0.1, 0.2, 0.4]) == pytest.approx(1.0)
@@ -167,7 +169,7 @@ class TestRSquared:
         # 0 at every threshold for a candidate far off the data's scale
         scores = _score_rows(np.array([[5.0] * 3, [1.0] * 3, [0.0] * 3,
                                        [1.0, 2.0, 3.0]]),
-                             np.array([1.0, 2.0, 2.0]))
+                             *_centred(np.array([1.0, 2.0, 2.0])))
         assert scores.tolist() == [0.0, 0.0, 0.0,
                                    self.r2([1, 2, 3], [1, 2, 2])]
 
@@ -423,11 +425,35 @@ class TestGridEdge:
 class TestBlockScoring:
     """Grid rows scored in blocks equal one-shot scoring bit for bit."""
 
+    @staticmethod
+    def block_rows(n, n_thresholds):
+        """The row count of each block that scores an n-candidate grid."""
+        blocks = np.array_split(np.arange(n), _block_count(n, n_thresholds))
+        assert np.array_equal(np.concatenate(blocks), np.arange(n))
+        return np.array([block.size for block in blocks])
+
     @pytest.mark.parametrize("n_thresholds", [1, 3, 100, 1000, 8193, 9000])
     def test_block_rows(self, n_thresholds):
-        rows = _block_rows(n_thresholds)
-        assert rows >= 8 and rows % 8 == 0
-        assert rows * n_thresholds <= max(1 << 16, 8 * n_thresholds)
+        # round(n T / 2^16) near-equal blocks, one row at least, cover every
+        # grid row once, in order, none above 1.5 x 2^16 tail elements
+        for n in (2, 7, 17, 208, 1999, 2000, 2001, 10 ** 6):
+            rows = self.block_rows(n, n_thresholds)
+            assert rows.min() >= 1 and rows.max() - rows.min() <= 1
+            assert rows.size == min(n, max(1, round(
+                n * n_thresholds / 2 ** 16)))
+            assert rows.max() * n_thresholds <= 1.5 * 2 ** 16
+        assert _block_count(2000, 100) == 3
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 5 * 10 ** 5), st.integers(2, 10 ** 6))
+    def test_block_elements_bounded(self, n_thresholds, n):
+        # a block of more than 1.5 x 2^16 elements holds one or two rows,
+        # and only when a row is more than 3/4 of 2^16 elements
+        blocks = _block_count(n, n_thresholds)
+        longest = -(-n // blocks)  # np.array_split's longest block
+        assert 1 <= blocks <= n
+        assert longest * n_thresholds <= 1.5 * 2 ** 16 or (
+            longest <= 2 and n_thresholds > 3 * 2 ** 14)
 
     @staticmethod
     def grid(n, n_thresholds):
@@ -445,43 +471,59 @@ class TestBlockScoring:
     def assert_one_shot(scores, candidates, thresholds, rho):
         ws = _workspace(candidates.size * thresholds.size)
         one_shot = _score_rows(_tail_matrix(candidates, thresholds, 1.0, ws),
-                               rho)
+                               *_centred(rho))
         assert np.array_equal(bits(scores), bits(one_shot))
 
     @pytest.mark.parametrize("n, n_thresholds", [
         (2000, 3),
         (2000, 100),
         (2000, 1000),
-        (208, 9000),  # 26 full 8-row blocks: bit-equal on 1 to 4 threads
-        (17, 9000),  # one trailing row folded into the block
+        (208, 9000),  # 29 blocks of 7 or 8 rows
+        (17, 9000),  # 2 blocks of 8 and 9 rows
     ])
     def test_equals_one_shot(self, n, n_thresholds):
         candidates, thresholds, rho = self.grid(n, n_thresholds)
-        blocked = _score_grid(candidates, thresholds, rho, 1.0,
-                              _grid_workspace(n_thresholds))
+        blocked = _score_grid(candidates, thresholds, *_centred(rho), 1.0,
+                              _grid_workspace(n, n_thresholds))
         self.assert_one_shot(blocked, candidates, thresholds, rho)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_row_bits_independent_of_batch(self, data):
+        # a row's r^2 has the same bits whatever rows are scored with it,
+        # in whatever order, and wherever the batch starts in memory
+        n_thresholds = data.draw(st.integers(3, 300), label="n_thresholds")
+        n = data.draw(st.integers(1, 48), label="n")
+        candidates, thresholds, rho = self.grid(n, n_thresholds)
+        curve = _centred(rho)
+        whole = _score_rows(_tail_matrix(candidates, thresholds, 1.0,
+                                         _workspace(n * n_thresholds)), *curve)
+        start = data.draw(st.integers(0, n - 1), label="start")
+        stop = data.draw(st.integers(start + 1, n), label="stop")
+        order = data.draw(st.permutations(range(start, stop)), label="order")
+        offset = data.draw(st.integers(0, 7), label="offset")
+        floats, masks = _workspace(n * n_thresholds + offset)
+        ws = floats[:, offset:], masks[:, offset:]
+        part = _score_rows(_tail_matrix(candidates[order], thresholds, 1.0,
+                                        ws), *curve)
+        assert np.array_equal(bits(part), bits(whole[order]))
 
     def test_reused_workspace(self):
         # one workspace, NaN and True where unwritten, serves grids of every
         # block shape in turn, as later fits reuse freed pages
-        floats, masks = ws = _grid_workspace(9000)
+        shapes = [(2000, 3), (2000, 100), (197, 1000), (17, 9000), (2000, 100)]
+        floats, masks = ws = max(
+            (_grid_workspace(*shape) for shape in shapes),
+            key=lambda w: w[0].size)
         floats.fill(np.nan)
         masks.fill(True)
-        folded = set()
-        for n, n_thresholds in [(2000, 3), (2000, 100), (197, 1000),
-                                (17, 9000), (2000, 100)]:
+        for n, n_thresholds in shapes:
             candidates, thresholds, rho = self.grid(n, n_thresholds)
             kept = thresholds.copy(), rho.copy()
-            # the blocks as _score_grid forms them
-            step, start = _block_rows(n_thresholds), 0
-            while start < n:
-                stop = start + step if n - start - step >= 8 else n
-                folded.add(stop - start > step)
-                start = stop
-            blocked = _score_grid(candidates, thresholds, rho, 1.0, ws)
+            blocked = _score_grid(candidates, thresholds, *_centred(rho),
+                                  1.0, ws)
             self.assert_one_shot(blocked, candidates, thresholds, rho)
             assert all(map(np.array_equal, kept, (thresholds, rho)))
-        assert folded == {False, True}
 
     def test_fit_memory_bounded(self):
         # one-shot scoring of the 2000 x 10^4 tail matrix peaked near 0.9 GB
@@ -504,14 +546,16 @@ def reference_trace(sample, t, lo, hi, n):
     rho = _frequencies(np.sort(abs_x), thresholds)
     with np.errstate(over="ignore"):
         candidates = np.geomspace(lo, hi, n)
-        ws = _grid_workspace(thresholds.size)
-        scores = _score_grid(candidates, thresholds, rho, t, ws)
+        ws = _grid_workspace(n, thresholds.size)
+        curve = _centred(rho)
+        scores = _score_grid(candidates, thresholds, *curve, t, ws)
         best = int(np.argmax(scores))
         extra_m, extra_r2 = [], []
 
         def evaluate(log_m):
             m = math.exp(log_m)
-            r2 = float(_score_grid(np.array([m]), thresholds, rho, t, ws)[0])
+            r2 = float(_score_grid(np.array([m]), thresholds, *curve, t,
+                                   ws)[0])
             extra_m.append(m)
             extra_r2.append(r2)
             return r2
@@ -537,7 +581,7 @@ def reference_trace(sample, t, lo, hi, n):
 
 
 class TestBatchedRefinement:
-    """The refinement scores each golden-section point ahead, up to three
+    """The refinement scores golden-section points ahead, a tree of them
     per tail matrix, and keeps only the points the sequential pass scores:
     its trace equals the one-point-at-a-time pass bit for bit."""
 
@@ -585,15 +629,26 @@ class TestBatchedRefinement:
         monkeypatch.setattr(estimate, "_tail_matrix", counted)
         sample = sample_displacements(SynthSpec(m=977.73, n=n, seed=4))
         result = fit_m_hat(sample)
-        # grid blocks hold at least 8 rows; the last call is the table's pr
-        assert rows[-1] == 1
-        batches = [k for k in rows[:-1] if k < 8]
-        assert max(batches) <= 3
+        n_thresholds = len(result.table)
+        depth = _depth(n_thresholds)
+        # the grid's blocks, the refinement's batches, the table's pr
+        blocks = [block.size for block in np.array_split(
+            np.arange(DEFAULT_GRID_POINTS),
+            _block_count(DEFAULT_GRID_POINTS, n_thresholds))]
+        assert rows[:len(blocks)] == blocks and rows[-1] == 1
+        batches = rows[len(blocks):-1]
+        # a batch is at most one tree; the first holds c and d and the
+        # points of depth - 1 steps, each later one a point and depth steps
+        assert max(batches) <= 2 ** (depth + 1) - 1
+        assert (2 ** (depth + 1) - 1) * n_thresholds <= 2 ** 12 or depth == 1
         points = len(result.grid) - DEFAULT_GRID_POINTS
         assert points > 20
-        assert len(batches) <= 1 + math.ceil((points - 2) / 2)
+        assert len(batches) <= math.ceil(points / (depth + 1))
         assert sum(batches) >= points
-
+        if n == 100:
+            assert (depth, len(rows)) == (4, 11)
+        if n == 1000:
+            assert (depth, max(batches)) == (1, 3)
 
 def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
