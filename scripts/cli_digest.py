@@ -18,9 +18,10 @@ under the same relative paths, so the `# config:` echo of each input path
 does not depend on where the checkout lives. OPENBLAS_NUM_THREADS is set
 to 1 unless already set, and COLUMNS is always set to 80.
 
-The digest depends on the numpy and BLAS build and on the CPU (the SIMD
-paths of exp and sqrt, the BLAS kernels), so it compares two commits on
-one machine only; it is not a portable reference value.
+The digest depends on the numpy build and on the CPU (the SIMD paths of
+numpy's float64 exp and log, as for scripts/fit_digest.py), not on the
+BLAS kernel, so it compares two commits on one machine only; it is not a
+portable reference value.
 
     python scripts/cli_digest.py            # this checkout's src/
     python scripts/cli_digest.py OTHER/src  # another checkout's src/

@@ -12,9 +12,10 @@ trace.
 The fit computes r^2 without BLAS, so the digest does not depend on the
 BLAS kernel or the thread count: it reads the same under one and two
 OpenBLAS threads and under OPENBLAS_CORETYPE=Haswell (scripts/gates.py
-checks both). It may still depend on the numpy build and on the CPU (the
-SIMD paths of exp and sqrt), so it compares two commits on one machine
-only; it is not a portable reference value.
+checks both). It still depends on the numpy build and on the CPU: numpy's
+float64 exp and log take SIMD paths that round differently with and
+without AVX-512 (sqrt is correctly rounded on every path). So it compares
+two commits on one machine only; it is not a portable reference value.
 
     python scripts/fit_digest.py            # this checkout's src/
     python scripts/fit_digest.py OTHER/src  # another checkout's src/

@@ -6,7 +6,13 @@
 In order:
 
   1. tier1: the whole test suite under one BLAS thread (gate);
-  2. tier1_haswell: the same under OpenBLAS's Haswell kernel (gate);
+  2. tier1_no_avx512: the same with numpy's AVX-512 dispatch disabled,
+     as on a CPU without AVX-512, where numpy's float64 exp and log may
+     round differently (gate). The names to disable are read from the
+     child numpy's own dispatch table (every AVX512* target and X86_V4,
+     where each exists and is on), since numpy silently ignores a name it
+     does not know; the gate fails if the child still reports any of them
+     on;
   3. block_scoring: the TestBlockScoring and TestBatchedRefinement tests
      under two BLAS threads, since block scoring must equal one-shot
      scoring bit for bit whatever the thread count (gate);
@@ -31,8 +37,9 @@ In order:
      gated: one run each, so the seconds carry the host's noise.
 
 A kernel is chosen by setting OPENBLAS_CORETYPE in the child's environment
-only, which stands in for a CPU on which OpenBLAS picks that kernel; the
-default runs have OPENBLAS_CORETYPE removed. REF's src/ is exported with
+only, which stands in for a CPU on which OpenBLAS picks that kernel, and
+numpy's dispatch is narrowed the same way with NPY_DISABLE_CPU_FEATURES;
+the default runs have both removed. REF's src/ is exported with
 `git archive` into a temporary directory, so the checkout and its git
 metadata are left as they were.
 
@@ -53,8 +60,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 THREADS = ("1", "2")
-HASWELL = "Haswell"
-KERNELS = {"": None, "_haswell": HASWELL}  # step-name suffix: core type
+# step-name suffix: the child's OpenBLAS core type
+KERNELS = {"": {}, "_haswell": {"OPENBLAS_CORETYPE": "Haswell"}}
+# the child's numpy prints the names of its AVX-512 dispatch targets, and
+# of X86_V4 (the level that groups them), that it reports on, as JSON
+AVX512 = """
+import json
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+print(json.dumps([name for name in umath.__cpu_dispatch__
+                  if name.startswith(("AVX512", "X86_V4"))
+                  and umath.__cpu_features__.get(name)]))
+"""
 # the one child of this launcher is a CLI run on the src/ tree in argv[1];
 # it prints that child's peak RSS in MB and its wall seconds, or fails
 # with it
@@ -68,16 +87,17 @@ print(round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1),
 """
 
 
-def python(args, threads="1", core=None):
+def python(args, threads="1", cpu=None):
     """`python args` from the checkout's root with src/ on the path,
-    `threads` BLAS threads and OpenBLAS core type `core` (None: the one
-    OpenBLAS picks): (exit code, output, seconds)."""
+    `threads` BLAS threads and the environment variables `cpu` that narrow
+    the OpenBLAS kernel or numpy's dispatch (None: what this CPU picks):
+    (exit code, output, seconds)."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join(
                    filter(None, ("src", os.environ.get("PYTHONPATH")))))
-    env.pop("OPENBLAS_CORETYPE", None)
-    if core:
-        env["OPENBLAS_CORETYPE"] = core
+    for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"):
+        env.pop(name, None)
+    env.update(cpu or {})
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True)
@@ -85,10 +105,10 @@ def python(args, threads="1", core=None):
             round(time.perf_counter() - start, 1))
 
 
-def pytest(args, threads, core=None):
+def pytest(args, threads, cpu=None):
     code, out, seconds = python(
         ["-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors", *args], threads, core)
+         "--continue-on-collection-errors", *args], threads, cpu)
     lines = out.strip().splitlines()
     counts = {kind: int(n) for n, kind in re.findall(
         r"(\d+) (passed|failed|errors?|skipped|deselected)",
@@ -97,9 +117,9 @@ def pytest(args, threads, core=None):
             "threads": int(threads), "seconds": seconds}
 
 
-def last_line(args, threads="1", core=None):
+def last_line(args, threads="1", cpu=None):
     """The last output line of a script, or None if it failed."""
-    code, out, _ = python(args, threads, core)
+    code, out, _ = python(args, threads, cpu)
     lines = out.strip().splitlines()
     return lines[-1] if code == 0 and lines else None
 
@@ -128,7 +148,15 @@ def main() -> int:
               flush=True)
 
     gate("tier1", pytest([], "1"))
-    gate("tier1_haswell", pytest([], "1", HASWELL))
+    # a probe that fails disables nothing and leaves still_on null, which
+    # fails the gate
+    names = json.loads(last_line(["-c", AVX512]) or "[]")
+    no_avx512 = {"NPY_DISABLE_CPU_FEATURES": ",".join(names)}
+    tier1 = pytest([], "1", no_avx512)
+    still_on = json.loads(last_line(["-c", AVX512], "1", no_avx512) or "null")
+    gate("tier1_no_avx512", {**tier1, "disabled": names,
+                             "still_on": still_on,
+                             "ok": tier1["ok"] and still_on == []})
     gate("block_scoring", pytest(
         ["tests/test_estimate.py", "-k",
          "TestBlockScoring or TestBatchedRefinement"], "2"))
@@ -139,10 +167,10 @@ def main() -> int:
         for script, must_match in (("fit_digest", True),
                                    ("cli_digest", False)):
             heads = []
-            for suffix, core in KERNELS.items():
+            for suffix, cpu in KERNELS.items():
                 for threads in THREADS:
                     digests = {tree: last_line(
-                        [f"scripts/{script}.py", *src], threads, core)
+                        [f"scripts/{script}.py", *src], threads, cpu)
                         for tree, src in trees.items()}
                     heads.append(digests["head"])
                     same = None not in digests.values() and len(

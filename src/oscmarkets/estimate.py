@@ -34,14 +34,15 @@ block to block. r^2's sums are np.einsum rows, computed without BLAS, so a
 row's score does not depend on the rows scored with it, on the BLAS kernel
 or on the thread count.
 
-The refinement scores its points ahead of need. The point a golden-section
-step evaluates depends only on the outcomes of the comparisons before it,
-so on a miss one tail matrix scores the point and the tree of points the
-next `depth` steps may visit (`_tree`): 2^(depth+1) - 1 rows, the most
-that fit in 2^12 tail elements, and at least 3 (`_depth`). The pass traces
-only the points it visits, in its order, so its trace equals the
-one-point-at-a-time pass bit for bit. Each point is math.exp of its log,
-as the sequential pass computed it (np.exp may round differently).
+The refinement scores its points ahead of need. One rule, `_step`, steps
+the golden-section walk and its lookahead: a step's point depends only
+on the comparisons before it, so on a miss one tail matrix scores it
+and the points the next `depth` steps may reach (`_tree`):
+2^(depth+1) - 1 rows, the most that fit in 2^12 tail elements, and at
+least 3 (`_depth`). The walk traces only the points it visits, in order,
+so its trace equals the one-point-at-a-time pass bit for bit. Each point
+is math.exp of its log, as the sequential pass computed it (np.exp may
+round differently).
 
 r^2 is the squared Pearson correlation, so it lies in [0, 1], and a
 candidate whose tail curve is flat at float resolution scores exactly 0.
@@ -224,14 +225,22 @@ def _grid_workspace(n_rows: int, n_thresholds: int) -> tuple:
     return _workspace(rows * n_thresholds)
 
 
-def _tree(a: float, b: float, c: float, d: float, depth: int) -> list:
-    """The points the next `depth` golden-section steps after state
-    a < c < d < b may evaluate, for every outcome of their comparisons."""
-    if depth == 0 or b - a <= _TOL:
+def _step(state: tuple, left: bool) -> tuple:
+    """The state a < c < d < b after one golden-section step from `state`
+    (a, b, c, d) that keeps [a, d] (left) or [c, b]."""
+    a, b, c, d = state
+    return ((a, d, d - _INVPHI * (d - a), c) if left
+            else (c, b, d, c + _INVPHI * (b - c)))
+
+
+def _tree(state: tuple, depth: int) -> list:
+    """The points the next `depth` golden-section steps after `state` may
+    evaluate, for every outcome of their comparisons."""
+    if depth == 0 or state[1] - state[0] <= _TOL:
         return []
-    left, right = d - _INVPHI * (d - a), c + _INVPHI * (b - c)
-    return [left, right, *_tree(a, d, left, c, depth - 1),
-            *_tree(c, b, d, right, depth - 1)]
+    left, right = _step(state, True), _step(state, False)
+    return [left[2], right[3], *_tree(left, depth - 1),
+            *_tree(right, depth - 1)]
 
 
 def _score_grid(candidates: np.ndarray, thresholds: np.ndarray,
@@ -292,34 +301,29 @@ def fit_m_hat(sample: DisplacementSeries, t: float = 1.0,
         visited: list[float] = []  # log m of each refinement point, in order
         known: dict[float, float] = {}  # r^2 by log m, scored ahead of need
 
-        def evaluate(log_m: float, *state: float) -> float:
-            # traced r^2 at exp(log_m), the c or d of `state` (a, b, c, d);
+        def visit(state: tuple, left: bool) -> None:
+            # trace the state's c (left) or d, the point a step to it adds;
             # on a miss, one tail matrix scores the state's unscored points
             # and the points the next steps may visit (see module docstring)
-            if log_m not in known:
+            visited.append(state[2 if left else 3])
+            if visited[-1] not in known:
                 new = [x for x in state[2:] if x not in known]
-                new += _tree(*state, _depth(thresholds.size) + 1 - len(new))
+                new += _tree(state, _depth(thresholds.size) + 1 - len(new))
                 m = np.array([math.exp(x) for x in new])
                 r2 = _score_rows(_tail_matrix(m, thresholds, t, ws), oc, ss_o)
                 known.update(zip(new, r2.tolist()))
-            visited.append(log_m)
-            return known[log_m]
 
         # one golden-section pass around the best candidate, in log space
         a = math.log(candidates[max(best - 1, 0)])
         b = math.log(candidates[min(best + 1, grid_spec.n - 1)])
-        c = b - _INVPHI * (b - a)
-        d = a + _INVPHI * (b - a)
-        fc, fd = evaluate(c, a, b, c, d), evaluate(d, a, b, c, d)
-        while b - a > _TOL:
-            if fc >= fd:  # keep the left interval on ties: smaller m wins
-                b, d, fd = d, c, fc
-                c = b - _INVPHI * (b - a)
-                fc = evaluate(c, a, b, c, d)
-            else:
-                a, c, fc = c, d, fd
-                d = a + _INVPHI * (b - a)
-                fd = evaluate(d, a, b, c, d)
+        state = a, b, b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+        visit(state, True)
+        visit(state, False)
+        while state[1] - state[0] > _TOL:
+            # keep the left interval on ties: smaller m wins
+            left = known[state[2]] >= known[state[3]]
+            state = _step(state, left)
+            visit(state, left)
 
         m_all = np.concatenate([candidates, [math.exp(x) for x in visited]])
         order = np.argsort(m_all, kind="stable")

@@ -199,14 +199,20 @@ def _as_text(source: TextSource) -> str:
     return source.removeprefix("\ufeff")
 
 
-def _lines(text: str):
-    """The lines of `text`, each with its newline, as io.StringIO(text)
-    yields them, but holding a copy of only _CHUNK characters at a time."""
-    start = 0
+def _chunks(text: str, start: int):
+    """text[start:] in slices of about _CHUNK characters, each but the last
+    ending in a newline, so that only one slice exists as a copy at once."""
     while start < len(text):
         stop = text.find("\n", start + _CHUNK) + 1 or len(text)
-        yield from io.StringIO(text[start:stop])
+        yield text[start:stop]
         start = stop
+
+
+def _lines(text: str):
+    """The lines of `text`, each with its newline, as io.StringIO(text)
+    yields them, read from one of its _chunks at a time."""
+    for chunk in _chunks(text, 0):
+        yield from io.StringIO(chunk)
 
 
 def _skip(row) -> bool:
@@ -214,24 +220,6 @@ def _skip(row) -> bool:
     if not any(cell.strip() for cell in row):
         return True
     return row[0].lstrip().startswith("#")
-
-
-def _read_rows(reader, width: int, idx: list[int]):
-    """Yield (line_number, stripped cells at idx) for each data row left
-    in `reader`, which has just read a header of `width` fields."""
-    n_any = False
-    for row in reader:
-        if _skip(row):
-            continue
-        if len(row) < width:
-            raise DataError(
-                f"line {reader.line_num}: expected {width} fields, "
-                f"got {len(row)}"
-            )
-        n_any = True
-        yield reader.line_num, [row[i].strip() for i in idx]
-    if not n_any:
-        raise DataError("no rows: header present but no data")
 
 
 _ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -265,15 +253,25 @@ def _parse_float(lineno: int, name: str, text: str) -> float:
 
 
 def _cell_columns(reader, width: int, idx: list[int], names):
-    """(line numbers, dates, float columns...) of the rows left in
-    `reader`, parsed cell by cell: the one definition of a valid cell."""
+    """(line numbers, dates, float columns...) of the data rows left in
+    `reader`, which has just read a header of `width` fields, parsed cell
+    by cell: the one definition of a valid cell."""
     lines, days = [], []
     floats = [[] for _ in names[1:]]
-    for lineno, (day, *cells) in _read_rows(reader, width, idx):
+    for row in reader:
+        if _skip(row):
+            continue
+        lineno = reader.line_num
+        if len(row) < width:
+            raise DataError(
+                f"line {lineno}: expected {width} fields, got {len(row)}")
+        day, *cells = [row[i].strip() for i in idx]
         lines.append(lineno)
         days.append(_parse_day(lineno, day))
         for name, column, cell in zip(names[1:], floats, cells):
             column.append(_parse_float(lineno, name, cell))
+    if not lines:
+        raise DataError("no rows: header present but no data")
     return lines, np.array(days, dtype=_DAY), *floats
 
 
@@ -323,31 +321,27 @@ def _plain_chunk(chunk: str, width: int, idx: list[int]):
 
 def _plain_columns(text: str, header_line: int, width: int, idx: list[int]):
     """The columns _cell_columns would return for the rows after line
-    `header_line` of `text`, cut whole; None unless every row is plain.
+    `header_line` of `text`, cut whole per chunk (_chunks); None at
+    the first chunk not wholly plain.
 
     `text` holds no quote, and no CR after _as_text, so its rows are its
-    lines and its cells the text between commas. Plain rows have exactly
-    `width` cells, and no `#` leads the first (that row is a comment to
-    _skip);
-    the cell at idx[0] is `YYYY-MM-DD` with a year after 0 (the one form
-    numpy and _iso_date read alike) and the others read as
-    finite numbers through float(), as the per-cell path reads them.
+    lines and its cells the text between commas. A plain row has exactly
+    `width` cells, no `#` leading the first (a comment to _skip), at
+    idx[0] `YYYY-MM-DD` with a year after 0 (the one form numpy and
+    _iso_date read alike), and at other idx finite numbers through
+    float(), as the per-cell path reads them.
     """
     start = 0
     for _ in range(header_line):
         start = text.find("\n", start) + 1
         if not start:
             return None
-    end = len(text) - text.endswith("\n")
     chunks = []
-    while start < end:
-        stop = text.find("\n", start + _CHUNK, end)
-        stop = end if stop < 0 else stop
-        columns = _plain_chunk(text[start:stop], width, idx)
+    for chunk in _chunks(text, start):
+        columns = _plain_chunk(chunk.removesuffix("\n"), width, idx)
         if columns is None:
             return None
         chunks.append(columns)
-        start = stop + 1
     if not chunks:
         return None
     columns = [np.concatenate(c) for c in zip(*chunks)]

@@ -528,6 +528,19 @@ class TestColumnPass:
         with mock.patch.object(ingest, "_CHUNK", chunk):
             assert list(ingest._lines(text)) == list(io.StringIO(text))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(st.sampled_from("ab,\n")), st.sampled_from(("", "\n")),
+           st.sampled_from((1, 3, 16)), st.data())
+    def test_chunks_rejoin_at_line_ends(self, body, end, chunk, data):
+        text = body + end
+        start = data.draw(st.integers(0, len(text) + 1))
+        with mock.patch.object(ingest, "_CHUNK", chunk):
+            chunks = list(ingest._chunks(text, start))
+            lines = list(ingest._lines(text))
+        assert "".join(chunks) == text[start:]
+        assert all(c.endswith("\n") for c in chunks[:-1])
+        assert lines == list(io.StringIO(text))
+
     def test_python_float_forms_taken_whole(self):
         text = "date,close\n2001-01-05,1_000\n2001-01-12, 12 \n"
         fast, slow = both_paths(text)
