@@ -254,7 +254,7 @@ def _replacing(path: str):
     gets in UTF-8 mode. A regular or new file (a symlink's target) is
     written to a temporary file beside it, renamed over it at the end with
     the old file's permission bits, so a failed write leaves it as it was;
-    a temporary file that cannot be created is reported under `path`. A
+    an error that names the temporary file is reported under `path`. A
     file that may not be opened to write is refused, as in place. A FIFO
     or a device is written in place."""
     target = os.path.realpath(path)
@@ -265,20 +265,21 @@ def _replacing(path: str):
         return
     tmp = f"{target}.{os.urandom(4).hex()}.tmp"
     try:  # a new file gets the bits open() gives
-        out = open(tmp, "x", **text)
+        with open(tmp, "x", **text) as out:
+            try:
+                yield out
+                out.close()
+                if os.path.exists(target):
+                    open(path, "r+").close()  # fails on a read-only file
+                    os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+                os.replace(tmp, target)
+            except BaseException:
+                os.remove(tmp)
+                raise
     except OSError as exc:  # name the path given, not the random one
-        raise OSError(exc.errno, exc.strerror, path) from None
-    with out:
-        try:
-            yield out
-            out.close()
-            if os.path.exists(target):
-                open(path, "r+").close()  # fails on a read-only file
-                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
-            os.replace(tmp, target)
-        except BaseException:
-            os.remove(tmp)
-            raise
+        if tmp in (exc.filename, exc.filename2):
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
 
 
 def _emit(ns, write) -> None:

@@ -67,7 +67,6 @@ _DAY = "datetime64[D]"
 _CHUNK = 1 << 18
 # rows of a table turned into text and written at a time
 _ROWS = 1 << 14
-_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
 class _RowError(DataError):
@@ -222,24 +221,30 @@ def _skip(row) -> bool:
     return row[0].lstrip().startswith("#")
 
 
-_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# the one spelling of the date form: numpy and date.fromisoformat read
+# it alike, and year 0, which numpy takes, is excluded. Each digit is
+# spelled out: CPython 3.11 matches that about twice as fast as [0-9]{4}.
+_ISO_DAY = re.compile(r"(?!0000)[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9]")
+# a column of such dates run together, each cell followed by a comma
+_ISO_DAYS = re.compile(f"(?:{_ISO_DAY.pattern},)*")
 
 
 def _iso_date(text: str) -> dt.date:
-    """The date of `YYYY-MM-DD` text; ValueError for any other form, also
-    those date.fromisoformat takes from Python 3.11 on (`20010105`,
-    `2001-W02-5`)."""
+    """The date of `YYYY-MM-DD` text with a year after 0; ValueError for
+    any other form, also those date.fromisoformat takes from Python 3.11
+    on (`20010105`, `2001-W02-5`)."""
     if not _ISO_DAY.fullmatch(text):
         raise ValueError(f"not YYYY-MM-DD: {text!r}")
     return dt.date.fromisoformat(text)
 
 
-def _parse_day(lineno: int, text: str) -> int:
-    """Days since 1970-01-01 of an ISO date."""
+def _parse_day(lineno: int, text: str) -> str:
+    """`text`, checked to be an ISO date."""
     try:
-        return _iso_date(text).toordinal() - _EPOCH_ORDINAL
+        _iso_date(text)
     except ValueError:
         raise DataError(f"line {lineno}: bad date {text!r}") from None
+    return text
 
 
 def _parse_float(lineno: int, name: str, text: str) -> float:
@@ -275,10 +280,6 @@ def _cell_columns(reader, width: int, idx: list[int], names):
     return lines, np.array(days, dtype=_DAY), *floats
 
 
-# a date cell and the comma after it, each digit replaced by "0"
-_DATE_SHAPE = np.frombuffer(b"0000-00-00,", np.uint8)
-
-
 def _plain_chunk(chunk: str, width: int, idx: list[int]):
     """The date and float columns of the lines of `chunk`, or None unless
     every line is plain (see _plain_columns)."""
@@ -299,14 +300,7 @@ def _plain_chunk(chunk: str, width: int, idx: list[int]):
         return None
     columns = [cells[i::width] for i in idx]
     del cells
-    date = np.frombuffer((",".join(columns[0]) + ",").encode(
-        "utf-8", "surrogatepass"), np.uint8)
-    if date.size != n * _DATE_SHAPE.size:
-        return None
-    date = date.reshape(n, _DATE_SHAPE.size)
-    digit = (date >= ord("0")) & (date <= ord("9"))
-    if ((np.where(digit, ord("0"), date) != _DATE_SHAPE).any()
-            or (date[:, :4] == ord("0")).all(axis=1).any()):
+    if not _ISO_DAYS.fullmatch(",".join(columns[0]) + ","):
         return None
     try:
         columns[0] = np.array(columns[0], dtype=_DAY)
@@ -327,9 +321,8 @@ def _plain_columns(text: str, header_line: int, width: int, idx: list[int]):
     `text` holds no quote, and no CR after _as_text, so its rows are its
     lines and its cells the text between commas. A plain row has exactly
     `width` cells, no `#` leading the first (a comment to _skip), at
-    idx[0] `YYYY-MM-DD` with a year after 0 (the one form numpy and
-    _iso_date read alike), and at other idx finite numbers through
-    float(), as the per-cell path reads them.
+    idx[0] a date _ISO_DAY matches, and at other idx finite numbers
+    through float(), as the per-cell path reads them.
     """
     start = 0
     for _ in range(header_line):

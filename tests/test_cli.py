@@ -1,5 +1,6 @@
 """Command-line surface: pipelines, config layering, exit codes, echoes."""
 
+import errno
 import io
 import json
 import math
@@ -520,6 +521,28 @@ class TestAtomicOutputFile:
         assert first == (2, "", f"data error: cannot write output {output}: "
                          f"[Errno 2] No such file or directory: '{output}'\n")
         assert not output.parent.exists()
+
+    @pytest.mark.parametrize("call", ["replace", "chmod"])
+    def test_failed_rename_names_given_path(self, capsys, monkeypatch,
+                                            tmp_path, call):
+        # os.replace and os.chmod name the temporary file; the message
+        # names the path given, so it is the same from run to run
+        output = tmp_path / "out.csv"
+        output.write_text("kept\n")
+
+        def fail(src, *args, **kwargs):
+            dst = args[0] if call == "replace" else None
+            raise PermissionError(errno.EPERM, os.strerror(errno.EPERM), src,
+                                  None, dst)
+
+        monkeypatch.setattr(os, call, fail)
+        argv = ["synth", "--m", "977.73", "--n", "20", "--output", str(output)]
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        assert first == second == (
+            2, "", f"data error: cannot write output {output}: "
+            f"[Errno 1] Operation not permitted: '{output}'\n")
+        assert output.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [output]
 
     def test_device_written_in_place(self):
         assert run_process([*self.SYNTH, "--output", os.devnull]) == (

@@ -52,13 +52,15 @@ def assert_same_series(a, b):
         assert got.tobytes() == want.tobytes(), name
 
 
+EPOCH = dt.date(1970, 1, 1).toordinal()
+
+
 def increasing_days(min_size):
     """Strictly increasing datetime64[D] arrays that start in the last
     weeks of a random year, so most cross a year end and some an ISO
     week 53."""
-    epoch = dt.date(1970, 1, 1).toordinal()
     starts = st.tuples(st.integers(1, 9998), st.integers(0, 30)).map(
-        lambda p: dt.date(p[0], 12, 31).toordinal() - epoch - p[1])
+        lambda p: dt.date(p[0], 12, 31).toordinal() - EPOCH - p[1])
     gaps = st.lists(st.integers(1, 9), min_size=min_size - 1, max_size=40)
     return st.tuples(starts, gaps).map(lambda p: np.array(
         p[0] + np.cumsum([0] + p[1]), dtype="datetime64[D]"))
@@ -484,26 +486,27 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def plain_csv(draw):
-    """Plain CSV text of either schema: comment and blank lines before
-    the header, header names in any case and order, extra columns (a `#`
-    in the first makes a comment row), repr floats, and a final newline
-    or none."""
+    """(class, text, dates): plain CSV text of either schema, with
+    comment and blank lines before the header, header names in any case
+    and order, extra columns (a `#` in the first makes a comment row),
+    repr floats, and a final newline or none; its dates are written by
+    the calendar of datetime.date, not by numpy."""
     cls = draw(st.sampled_from((PriceSeries, DisplacementSeries)))
     names = list(cls.header) + draw(st.lists(
         st.sampled_from(("open", "volume", "note")), max_size=2))
     names = draw(st.permutations(names))
-    days = np.datetime_as_string(draw(increasing_days(min_size=1)))
+    days = draw(increasing_days(min_size=1))
     rows = [",".join(draw(st.sampled_from((str.upper, str.title, str)))(n)
                      for n in names)]
-    for day in days.tolist():
+    for day in days.astype(np.int64).tolist():
         cells = {n: repr(draw(FINITE)) for n in cls.header[1:]}
-        cells[cls.header[0]] = day
+        cells[cls.header[0]] = dt.date.fromordinal(EPOCH + day).isoformat()
         rows.append(",".join(cells.get(n, draw(st.sampled_from(
             ("", "x", "1.5", " 7 ", "#x", " #7", "\udcff")))) for n in names))
     head = draw(st.lists(st.sampled_from(("", "# config: m=1", "  # note",
                                           ",,", "#,a,b")), max_size=3))
     end = draw(st.sampled_from(("\n", "")))
-    return cls, "\n".join(head + rows) + end
+    return cls, "\n".join(head + rows) + end, days
 
 
 class TestColumnPass:
@@ -512,7 +515,7 @@ class TestColumnPass:
     @settings(max_examples=50, deadline=None)
     @given(plain_csv(), st.sampled_from((16, 64, ingest._CHUNK)))
     def test_matches_per_cell_path(self, case, chunk):
-        cls, text = case
+        cls, text, days = case
         with mock.patch.object(ingest, "_CHUNK", chunk):
             fast, slow = both_paths(text, cls)
         if fast is None:
@@ -520,7 +523,10 @@ class TestColumnPass:
             assert any(line.lstrip().startswith("#")
                        for line in text.split("\n")[1:])
         else:
-            assert_same_columns(fast, slow())
+            slow = slow()
+            # the dates date.fromordinal wrote, years 1 to 9998, read back
+            assert np.array_equal(slow[1], days)
+            assert_same_columns(fast, slow)
 
     @settings(max_examples=40, deadline=None)
     @given(st.text(st.sampled_from("ab,\n\r\"")), st.integers(1, 8))
@@ -667,7 +673,11 @@ class TestParseSeries:
         ("", "no rows: input is empty"),
         ("date,price\n2001-01-05,100\n", "unrecognized input header"),
         ("week_end,x_a,x_b\n2001-01-05,1,2\n",
-         "unrecognized input header")])
+         "unrecognized input header"),
+        # a header alone, with no newline after it, or with one
+        ("date,close", "no rows: header present but no data"),
+        ("# c\ndate,close", "no rows: header present but no data"),
+        ("week_end,x_a,x_b,ratio\n", "no rows: header present but no data")])
     def test_rejected(self, text, message):
         with pytest.raises(DataError, match=message):
             parse_series(text)
