@@ -14,6 +14,14 @@ precedence, and config-file errors come before flag errors and `--help`.
 Exit codes: 0 success, 1 usage or configuration error, 2 data/validation
 error, 3 numeric/domain failure.
 
+Each command imports the modules it runs when it runs, so `ingest` never
+loads or compiles the fit modules (at start-up, importing costs more than
+the work of a small command, and more still where no bytecode cache is
+written). `run` freezes the garbage collector's objects before it exits:
+all of them live until exit anyway, so the collections of interpreter
+shutdown would only walk them. Exit handlers, the flush of the standard
+streams and the exit status are as Python gives them.
+
 The estimate command accepts either raw prices (`date,close` header) or
 ready-made displacements (`week_end,x_a,x_b,ratio` header) and detects
 which by the header; `synth ... | oscmarkets estimate --stdin` therefore
@@ -25,7 +33,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime as dt
-import json
+import gc
 import math
 import os
 import stat
@@ -36,8 +44,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import backtest as bt
-from . import estimate as est
 from .errors import DataError, DomainError, OscMarketsError
 from .ingest import (
     _as_text,
@@ -50,8 +56,6 @@ from .ingest import (
     write_displacements,
     write_prices,
 )
-from .model import OscillatorParams, extreme_displacement
-from .synth import SynthSpec, sample_displacements
 
 __all__ = ["main", "run"]
 
@@ -116,12 +120,20 @@ def _window_value(text: str) -> tuple[int, int]:
     return start, count
 
 
-def _grid_value(text: str) -> est.GridSpec:
+def _grid_value(text: str):
+    from .estimate import GridSpec
     parts = text.split(":")
     _check(len(parts) == 3, f"grid must be LO:HI:N, got {text!r}")
-    return _parsed(lambda _: est.GridSpec(lo=float(parts[0]),
-                                          hi=float(parts[1]), n=int(parts[2])),
+    return _parsed(lambda _: GridSpec(lo=float(parts[0]), hi=float(parts[1]),
+                                      n=int(parts[2])),
                    text, "bad grid {text!r}: {exc}")
+
+
+def _grid_text(grid) -> str:
+    """--grid as the `# config:` echo prints it: LO:HI:N, or auto:N."""
+    from .estimate import DEFAULT_GRID_POINTS
+    return (f"{grid.lo!r}:{grid.hi!r}:{grid.n}" if grid
+            else f"auto:{DEFAULT_GRID_POINTS}")
 
 
 def _date_value(text: str) -> dt.date:
@@ -205,8 +217,7 @@ _TEXT_LABEL = {"asset_id": "asset"}
 # how the `# config:` echo prints a flag's value where str does not (str
 # is repr for a float and YYYY-MM-DD for a date)
 _CONFIG_TEXT = {"window": lambda w: "%d:%d" % w if w else "all",
-                "grid": lambda g: (f"{g.lo!r}:{g.hi!r}:{g.n}" if g else
-                                   f"auto:{est.DEFAULT_GRID_POINTS}")}
+                "grid": _grid_text}
 
 
 def _text_value(name: str, value) -> str:
@@ -216,8 +227,9 @@ def _text_value(name: str, value) -> str:
     return format(value, _TEXT_FORMAT.get(name, ""))
 
 
-def _warn_grid_edge(fit: est.EstimationResult) -> None:
-    """One stderr line when m_hat is the first or last grid candidate."""
+def _warn_grid_edge(fit) -> None:
+    """One stderr line when the EstimationResult's m_hat is the first or
+    last grid candidate."""
     if fit.at_grid_edge:
         lo, hi = fit.grid.m[[0, -1]].tolist()
         print(f"warning: m_hat {_text_value('m_hat', fit.m_hat)} at the edge "
@@ -345,6 +357,7 @@ def _render(ns, key: str, scalars: dict, text=None, tables=None,
 
     def write(out):
         if ns.format == "structured":
+            import json
             head = json.dumps({"config": dict(pairs),
                                key: {**scalars, **(members or {})}}, indent=2)
             out.write(head[:-6])  # all but the closing "\n  }\n}"
@@ -388,6 +401,7 @@ def _cmd_ingest(ns):
 
 
 def _cmd_estimate(ns):
+    from . import estimate as est
     if ns.stdin:
         if ns.input is not None:
             raise UsageError("give either --input or --stdin, not both")
@@ -414,6 +428,7 @@ def _cmd_estimate(ns):
 
 
 def _cmd_synth(ns):
+    from .synth import SynthSpec, sample_displacements
     series = sample_displacements(SynthSpec(ns.m, ns.t, ns.n, ns.seed))
     # no text view: the displacement table IS the artifact, which keeps
     # `synth | estimate --stdin` composable in text and csv alike
@@ -423,18 +438,21 @@ def _cmd_synth(ns):
 
 
 def _cmd_predict(ns):
+    from .backtest import predict_extreme_points
+    from .model import OscillatorParams, extreme_displacement
     if ns.m_hat is None:
         raise UsageError("predict needs --m-hat (flag or config file)")
     if ns.prior_close is None:
         raise UsageError("predict needs --prior-close (flag or config file)")
     ratio = extreme_displacement(OscillatorParams(m=ns.m_hat, t=ns.t))
-    points = bt.predict_extreme_points(ns.m_hat, ns.t, ns.prior_close)
+    points = predict_extreme_points(ns.m_hat, ns.t, ns.prior_close)
     return _render(ns, "result", {
         "m_hat": ns.m_hat, "t": ns.t, "prior_close": ns.prior_close,
         "predicted_extreme_ratio": ratio, "predicted_extreme_points": points})
 
 
 def _cmd_backtest(ns):
+    from . import backtest as bt
     # a missing --input is reported first, a missing week before any read
     if ns.input is not None and ns.crash_week is None:
         raise UsageError("backtest needs --crash-week (flag or config file)")
@@ -501,7 +519,11 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    # every object made so far lives until exit: frozen, finalization's
+    # collections skip them; atexit handlers and the flush still run
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

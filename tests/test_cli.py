@@ -133,12 +133,26 @@ class TestPredict:
         assert code == 1
         assert "prior-close" in err
 
-    @pytest.mark.parametrize("module", ["oscmarkets", "oscmarkets.cli"])
-    def test_python_m(self, capsys, module):
-        argv = ["predict", "--m-hat", "977.73", "--prior-close", "1099.23"]
-        want = run(capsys, *argv)
-        assert want[0] == 0
-        assert run_process(argv, entry=("-m", module)) == want
+    PREDICT = ("predict", "--m-hat", "977.73", "--prior-close", "1099.23")
+
+    # run()'s exit keeps every byte of a large piped output and each
+    # exit status that main() returns
+    @pytest.mark.parametrize("module, argv, status", [
+        ("oscmarkets", PREDICT, 0),
+        ("oscmarkets.cli", PREDICT, 0),
+        ("oscmarkets", ("synth", "--m", "977.73", "--n", "200000",
+                        "--seed", "1"), 0),
+        ("oscmarkets", ("synth", "--m", "977.73", "--n", "0"), 1),
+        ("oscmarkets", ("ingest", "--input", "no-such.csv"), 2),
+        ("oscmarkets", ("predict", "--m-hat", "1e-300",
+                        "--prior-close", "1e300"), 3)],
+        ids=["oscmarkets", "oscmarkets.cli", "synth-200000", "exit-1",
+             "exit-2", "exit-3"])
+    def test_python_m(self, capsys, module, argv, status):
+        code, out, err = run(capsys, *argv)
+        assert code == status
+        assert run_process(argv, entry=("-m", module), text=False) == (
+            code, out.encode(), err.encode())
 
 
 class TestEstimatePipelines:
@@ -1098,6 +1112,41 @@ class TestExitCodes:
         code, _, err = run(capsys, "synth", "--m", "0.1", "--n", "50")
         assert code == 3
         assert "numeric error" in err
+
+
+# run() under an atexit hook whose line, the last on stderr, names the
+# oscmarkets submodules loaded, then whether json is
+LOADED = ("-c", """
+import atexit, sys
+atexit.register(lambda: print(*sorted(
+    name.split(".", 1)[1] for name in sys.modules
+    if name.startswith("oscmarkets.")), "json" in sys.modules,
+    file=sys.stderr))
+from oscmarkets.cli import run
+run()
+""")
+FIT_MODULES = "backtest cli errors estimate ingest model specfun"
+
+
+class TestStartAndExit:
+    """A command imports only the modules it runs, and run()'s exit still
+    runs the atexit handlers."""
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (("ingest", "--input", str(QUIET)), "cli errors ingest False"),
+        (("synth", "--m", "977.73", "--n", "100", "--seed", "1"),
+         "cli errors ingest specfun synth False"),
+        (("estimate", "--input", str(QUIET), "--window", "0:100"),
+         "cli errors estimate ingest specfun False"),
+        (("predict", "--m-hat", "977.73", "--prior-close", "1099.23"),
+         FIT_MODULES + " False"),
+        (TestBacktestCommand.ARGS, FIT_MODULES + " False"),
+        (("ingest", "--input", str(QUIET), "--format", "structured"),
+         "cli errors ingest True")])
+    def test_loads_only_its_modules(self, argv, loaded):
+        code, _, err = run_process(argv, entry=LOADED)
+        assert code == 0, err
+        assert err.splitlines()[-1] == loaded
 
 
 def run_strict(argv):
