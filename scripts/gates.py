@@ -32,9 +32,13 @@ In order:
      977.73 --n 400000 --seed 1 --output FILE` in csv and in structured
      format, each run alone under a small launcher that reads its own
      RUSAGE_CHILDREN high-water mark, so the figure is that CLI process's
-     and not pytest's, and times the child from spawn to exit. The head's
-     runs must succeed (gate); the figures, REF's too, are reported, not
-     gated: one run each, so the seconds carry the host's noise.
+     and not pytest's, and times the child from spawn to exit. Both trees
+     start alike: the head runs from a copy of src/ without __pycache__,
+     as REF's export is, and every child runs with PYTHONDONTWRITEBYTECODE
+     set, so each start-up compiles the package and none reads a cache
+     that an earlier run wrote. The head's runs must succeed (gate); the
+     figures, REF's too, are reported, not gated: one run each, so the
+     seconds carry the host's noise.
 
 A kernel is chosen by setting OPENBLAS_CORETYPE in the child's environment
 only, which stands in for a CPU on which OpenBLAS picks that kernel, and
@@ -52,6 +56,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -74,14 +79,15 @@ print(json.dumps([name for name in umath.__cpu_dispatch__
                   if name.startswith(("AVX512", "X86_V4"))
                   and umath.__cpu_features__.get(name)]))
 """
-# the one child of this launcher is a CLI run on the src/ tree in argv[1];
-# it prints that child's peak RSS in MB and its wall seconds, or fails
-# with it
+# the one child of this launcher is a CLI run on the src/ tree in argv[1],
+# writing no bytecode; it prints that child's peak RSS in MB and its wall
+# seconds, or fails with it
 LAUNCHER = """
 import os, resource, subprocess, sys, time
 start = time.perf_counter()
 subprocess.run([sys.executable, "-m", "oscmarkets", *sys.argv[2:]],
-               env=dict(os.environ, PYTHONPATH=sys.argv[1]), check=True)
+               env=dict(os.environ, PYTHONPATH=sys.argv[1],
+                        PYTHONDONTWRITEBYTECODE="1"), check=True)
 print(round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1),
       round(time.perf_counter() - start, 2))
 """
@@ -191,10 +197,14 @@ def main() -> int:
                                for tree, line in totals.items()},
                             "ok": totals["head"] is not None})
         figures = {}
-        for tree, src in trees.items():
+        # the head as REF is exported: no __pycache__ from the runs above
+        head = Path(tmp) / "head" / "src"
+        shutil.copytree(ROOT / "src", head,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        for tree, src in {**trees, "head": [str(head)]}.items():
             for fmt in ("csv", "structured"):
                 line = last_line(
-                    ["-c", LAUNCHER, *(src or ["src"]), "synth", "--m",
+                    ["-c", LAUNCHER, *src, "synth", "--m",
                      "977.73", "--n", "400000", "--seed", "1", "--format",
                      fmt, "--output", str(Path(tmp) / f"{tree}.{fmt}")])
                 mb, seconds = line.split() if line else (None, None)

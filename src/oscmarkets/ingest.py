@@ -10,14 +10,17 @@ left off.
 A series is a set of numpy columns: `week_end` as datetime64[D] and the
 prices and ratios as float64. Each constructor validates its columns once,
 vectorized, then marks them read-only, so a series that exists is valid.
-Parsers hand whole columns to the constructor; a column check that fails
+Parsers only turn text into values and hand whole columns to the
+constructor; every value rule (finite, positive, date order, ratio
+consistency) is a column check of the constructor, and one that fails
 names the input line of the first bad row. Every CRLF or lone CR reads
 as LF. Plain text (no quote, no blank or comment line after the header,
-every row exactly as wide as the header, `YYYY-MM-DD` dates and finite
-numbers) is cut into whole columns at once. Anything else, and plain
-text that fails a check, is read cell by cell; that reading defines a
-valid cell, and the column pass must match it bit for bit. A date is
-`YYYY-MM-DD` on every Python version.
+every row exactly as wide as the header, no line longer than the csv
+module's field limit, `YYYY-MM-DD` dates and numbers) is cut into whole
+columns at once. Anything else, and plain text that fails a check, is
+read cell by cell; that reading defines a valid cell, and the column
+pass must match it bit for bit. A date is `YYYY-MM-DD` on every Python
+version.
 
 Series are written as CSV with headers `date,close` and
 `week_end,x_a,x_b,ratio`, dates as ISO days and floats with repr, so a
@@ -38,7 +41,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
-import math
 import re
 from dataclasses import dataclass
 from typing import IO, ClassVar, Union
@@ -86,7 +88,8 @@ def _check(bad: np.ndarray, template: str, *columns: np.ndarray) -> None:
 
 
 def _freeze(series, **dtypes) -> list[np.ndarray]:
-    """Replace each named field by a read-only 1-D copy of that dtype."""
+    """Replace each named field by a read-only 1-D copy of that dtype; a
+    float column must be finite."""
     out = []
     for name, dtype in dtypes.items():
         column = getattr(series, name)
@@ -99,6 +102,8 @@ def _freeze(series, **dtypes) -> list[np.ndarray]:
             raise DataError(f"column {name}: {exc}") from None
         if column.ndim != 1 or (out and column.size != out[0].size):
             raise DataError("series columns must be 1-D and of equal length")
+        if column.dtype.kind == "f":
+            _check(~np.isfinite(column), f"non-finite {name} {{!r}}", column)
         column.flags.writeable = False
         object.__setattr__(series, name, column)
         out.append(column)
@@ -131,7 +136,6 @@ class PriceSeries:
         if close.size < 2:
             raise DataError(
                 f"price series needs at least 2 points, got {close.size}")
-        _check(~np.isfinite(close), "non-finite close {!r}", close)
         _check(close <= 0.0, "non-positive close {}", close)
         _check_dates(week_end)
 
@@ -162,9 +166,6 @@ class DisplacementSeries:
             ratio=np.float64)
         if not ratio.size:
             raise DataError("displacement series must not be empty")
-        for name, column in (("x_a", x_a), ("x_b", x_b), ("ratio", ratio)):
-            _check(~np.isfinite(column), name + " must be finite, got {!r}",
-                   column)
         _check((x_a <= 0.0) | (x_b <= 0.0),
                "prices must be positive, got x_a={}, x_b={}", x_a, x_b)
         _check(ratio <= -1.0, "ratio must exceed -1, got {}", ratio)
@@ -238,31 +239,22 @@ def _iso_date(text: str) -> dt.date:
     return dt.date.fromisoformat(text)
 
 
-def _parse_day(lineno: int, text: str) -> str:
-    """`text`, checked to be an ISO date."""
+def _parse_cell(lineno: int, name: str, text: str, convert):
+    """convert(text), or a DataError naming the line if it raises
+    ValueError."""
     try:
-        _iso_date(text)
-    except ValueError:
-        raise DataError(f"line {lineno}: bad date {text!r}") from None
-    return text
-
-
-def _parse_float(lineno: int, name: str, text: str) -> float:
-    try:
-        value = float(text)
+        return convert(text)
     except ValueError:
         raise DataError(f"line {lineno}: bad {name} {text!r}") from None
-    if not math.isfinite(value):
-        raise DataError(f"line {lineno}: non-finite {name} {text!r}")
-    return value
 
 
 def _cell_columns(reader, width: int, idx: list[int], names):
     """(line numbers, dates, float columns...) of the data rows left in
     `reader`, which has just read a header of `width` fields, parsed cell
     by cell: the one definition of a valid cell."""
-    lines, days = [], []
-    floats = [[] for _ in names[1:]]
+    lines, columns = [], [[] for _ in names]
+    # the date column is named `date` in messages, whatever its header
+    rules = [("date", _iso_date)] + [(name, float) for name in names[1:]]
     for row in reader:
         if _skip(row):
             continue
@@ -270,14 +262,12 @@ def _cell_columns(reader, width: int, idx: list[int], names):
         if len(row) < width:
             raise DataError(
                 f"line {lineno}: expected {width} fields, got {len(row)}")
-        day, *cells = [row[i].strip() for i in idx]
         lines.append(lineno)
-        days.append(_parse_day(lineno, day))
-        for name, column, cell in zip(names[1:], floats, cells):
-            column.append(_parse_float(lineno, name, cell))
+        for (name, convert), column, i in zip(rules, columns, idx):
+            column.append(_parse_cell(lineno, name, row[i].strip(), convert))
     if not lines:
         raise DataError("no rows: header present but no data")
-    return lines, np.array(days, dtype=_DAY), *floats
+    return lines, np.array(columns[0], dtype=_DAY), *columns[1:]
 
 
 def _plain_chunk(chunk: str, width: int, idx: list[int]):
@@ -287,10 +277,13 @@ def _plain_chunk(chunk: str, width: int, idx: list[int]):
     # hold one) is left for float() or the date check to reject, as the
     # cell path does
     raw = np.frombuffer(chunk.encode("utf-8", "surrogatepass"), np.uint8)
-    # commas per line, so that a short line and a long one cannot cancel
+    # commas per line, so that a short line and a long one cannot cancel;
+    # line lengths (each with its newline), since a line over the csv
+    # module's field limit may hold a cell the cell path rejects
     ends = np.append(np.flatnonzero(raw == ord("\n")), raw.size)
     commas = np.searchsorted(np.flatnonzero(raw == ord(",")), ends)
-    if (np.diff(commas, prepend=0) != width - 1).any():
+    if ((np.diff(commas, prepend=0) != width - 1).any()
+            or np.diff(ends, prepend=-1).max() > csv.field_size_limit() + 1):
         return None
     n = ends.size
     cells = chunk.replace("\n", ",").split(",")
@@ -308,8 +301,6 @@ def _plain_chunk(chunk: str, width: int, idx: list[int]):
             columns[k] = np.fromiter(map(float, columns[k]), np.float64, n)
     except ValueError:
         return None
-    if not all(np.isfinite(c).all() for c in columns[1:]):
-        return None
     return columns
 
 
@@ -321,8 +312,11 @@ def _plain_columns(text: str, header_line: int, width: int, idx: list[int]):
     `text` holds no quote, and no CR after _as_text, so its rows are its
     lines and its cells the text between commas. A plain row has exactly
     `width` cells, no `#` leading the first (a comment to _skip), at
-    idx[0] a date _ISO_DAY matches, and at other idx finite numbers
-    through float(), as the per-cell path reads them.
+    idx[0] a date _ISO_DAY matches and at other idx numbers through
+    float(), as the per-cell path reads them; and no line is longer than
+    csv.field_size_limit(), over which that path may reject a cell. As
+    on that path, values (a non-finite one too) are left to the series
+    checks.
     """
     start = 0
     for _ in range(header_line):

@@ -362,7 +362,7 @@ class TestIngest:
         assert ("points: 2" if fmt == "text" else "1e+300") in out
         code, out, err = run(capsys, *argv, "displacements")
         assert (code, out) == (2, "")
-        assert err == "data error: ratio must be finite, got inf\n"
+        assert err == "data error: non-finite ratio inf\n"
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "structured"])
     @pytest.mark.parametrize("emit", ["prices", "displacements"])
@@ -1069,7 +1069,7 @@ class TestExitCodes:
         prices.write_text("date,close\n2001-01-05,1e-300\n2001-01-12,1e300\n")
         code, out, err = run(capsys, "estimate", "--input", str(prices))
         assert (code, out) == (2, "")
-        assert err == "data error: ratio must be finite, got inf\n"
+        assert err == "data error: non-finite ratio inf\n"
 
     def test_data_error_overflowing_implied_ratio(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(
@@ -1092,13 +1092,17 @@ class TestExitCodes:
         ["ingest"], ["estimate"], ["backtest", "--crash-week", "2001-01-12"]])
     def test_data_error_field_over_csv_limit(self, capsys, tmp_path, argv,
                                              quote):
+        # numbers that float() reads as 100, 0 and inf: with or without a
+        # quote, a cell over the limit is the same error
         big = tmp_path / "big.csv"
-        big.write_text(f"date,close\n2001-01-05,100\n"
-                       f"2001-01-12,{quote}{'1' * 140_000}{quote}\n")
-        code, out, err = run(capsys, *argv, "--input", str(big))
-        assert (code, out) == (2, "")
-        assert err == ("data error: line 3: field larger than field limit "
-                       "(131072)\n")
+        for cell in ("100." + "0" * 140_000, "0." + "0" * 140_000 + "1",
+                     "1" * 140_000):
+            big.write_text(f"date,close\n2001-01-05,100\n"
+                           f"2001-01-12,{quote}{cell}{quote}\n")
+            code, out, err = run(capsys, *argv, "--input", str(big))
+            assert (code, out) == (2, "")
+            assert err == ("data error: line 3: field larger than field "
+                           "limit (131072)\n")
 
     @pytest.mark.parametrize("day", ["20040102", "2004-W01-5"])
     def test_usage_crash_week_not_iso_day(self, capsys, day):

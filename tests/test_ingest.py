@@ -481,7 +481,11 @@ def assert_same_columns(fast, slow):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# float cells: reprs of finite floats, and non-finite text, which both
+# readers pass through for the series check to reject
+FLOAT_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(("inf", "-inf", "nan", "1e999")))
 
 
 @st.composite
@@ -489,7 +493,7 @@ def plain_csv(draw):
     """(class, text, dates): plain CSV text of either schema, with
     comment and blank lines before the header, header names in any case
     and order, extra columns (a `#` in the first makes a comment row),
-    repr floats, and a final newline or none; its dates are written by
+    FLOAT_CELLS, and a final newline or none; its dates are written by
     the calendar of datetime.date, not by numpy."""
     cls = draw(st.sampled_from((PriceSeries, DisplacementSeries)))
     names = list(cls.header) + draw(st.lists(
@@ -499,7 +503,7 @@ def plain_csv(draw):
     rows = [",".join(draw(st.sampled_from((str.upper, str.title, str)))(n)
                      for n in names)]
     for day in days.astype(np.int64).tolist():
-        cells = {n: repr(draw(FINITE)) for n in cls.header[1:]}
+        cells = {n: draw(FLOAT_CELLS) for n in cls.header[1:]}
         cells[cls.header[0]] = dt.date.fromordinal(EPOCH + day).isoformat()
         rows.append(",".join(cells.get(n, draw(st.sampled_from(
             ("", "x", "1.5", " 7 ", "#x", " #7", "\udcff")))) for n in names))
@@ -620,12 +624,8 @@ class TestColumnPass:
         # the cells of these two lines, run together, would read as two
         # good rows: only a per-line count of commas tells them apart
         ("2001-01-05\n7,2001-01-12,110\n", "line 3: expected 2 fields, got 1"),
-        ("2001-01-05,100\n2001-01-12,nan\n",
-         "line 4: non-finite close 'nan'"),
-        ("2001-01-05,inf\n2001-01-12,110\n",
-         "line 3: non-finite close 'inf'"),
-        ("2001-01-05,100\n2001-01-12,1e999\n",
-         "line 4: non-finite close '1e999'"),
+        # a form error is reported before a bad value on an earlier line
+        ("2001-01-05,nan\n2001-01-12\n", "line 4: expected 2 fields, got 1"),
     ])
     def test_rejected_with_per_cell_message(self, body, message):
         text = "# echo\ndate,close\n" + body
@@ -639,6 +639,15 @@ class TestColumnPass:
          "line 4: duplicate date 2001-01-05"),
         (PriceSeries, "2001-01-05,100\n2001-01-12,-1\n",
          "line 4: non-positive close -1.0"),
+        pytest.param(PriceSeries, "2001-01-05,100\n2001-01-12,nan\n",
+                     "line 4: non-finite close nan", id="close-nan"),
+        pytest.param(PriceSeries, "2001-01-05,inf\n2001-01-12,110\n",
+                     "line 3: non-finite close inf", id="close-inf"),
+        pytest.param(PriceSeries, "2001-01-05,100\n2001-01-12,1e999\n",
+                     "line 4: non-finite close inf", id="close-1e999"),
+        pytest.param(DisplacementSeries,
+                     "2001-01-05,100,110,0.1\n2001-01-12,inf,1,0\n",
+                     "line 4: non-finite x_a inf", id="x_a-inf"),
         (DisplacementSeries, "2001-01-05,100,110,0.2\n",
          "line 3: ratio 0.2 inconsistent with endpoints (100.0, 110.0) "
          "implying 0.10000000000000009"),
@@ -653,6 +662,14 @@ class TestColumnPass:
         with pytest.raises(DataError) as exc:
             ingest._parse(text, "asset", cls)
         assert str(exc.value) == message
+
+    def test_constructor_names_non_finite_row(self):
+        # a library caller gets the same message, at the series' row index
+        days = ["2001-01-05", "2001-01-12", "2001-01-19"]
+        with pytest.raises(ingest._RowError) as exc:
+            DisplacementSeries("x", days, [1.0, 2.0, 2.0], [2.0, 2.0, 2.0],
+                               [1.0, 0.0, float("inf")])
+        assert (str(exc.value), exc.value.row) == ("non-finite ratio inf", 2)
 
 
 class TestParseSeries:
