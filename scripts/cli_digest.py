@@ -20,8 +20,10 @@ to 1 unless already set, and COLUMNS is always set to 80.
 
 The digest depends on the numpy build and on the CPU (the SIMD paths of
 numpy's float64 exp and log, as for scripts/fit_digest.py), not on the
-BLAS kernel, so it compares two commits on one machine only; it is not a
-portable reference value.
+BLAS kernel (tests/test_cli.py::TestBlasThreads guards that). So it
+compares two commits on one machine only; scripts/gates.py reports it
+under both dispatch settings, the default and AVX-512 disabled. It is not
+a portable reference value.
 
     python scripts/cli_digest.py            # this checkout's src/
     python scripts/cli_digest.py OTHER/src  # another checkout's src/

@@ -10,12 +10,13 @@ all 300 fits are bit-identical, whatever container holds the table and the
 trace.
 
 The fit computes r^2 without BLAS, so the digest does not depend on the
-BLAS kernel or the thread count: it reads the same under one and two
-OpenBLAS threads and under OPENBLAS_CORETYPE=Haswell (scripts/gates.py
-checks both). It still depends on the numpy build and on the CPU: numpy's
-float64 exp and log take SIMD paths that round differently with and
-without AVX-512 (sqrt is correctly rounded on every path). So it compares
-two commits on one machine only; it is not a portable reference value.
+BLAS kernel or the thread count; the tier-1 test
+tests/test_cli.py::TestBlasThreads guards that. It does depend on the
+numpy build and on the CPU: numpy's float64 exp and log take SIMD paths
+that round differently with and without AVX-512 (sqrt is correctly
+rounded on every path). So it compares two commits on one machine only,
+and scripts/gates.py compares them under both dispatch settings, the
+default and AVX-512 disabled; it is not a portable reference value.
 
     python scripts/fit_digest.py            # this checkout's src/
     python scripts/fit_digest.py OTHER/src  # another checkout's src/

@@ -5,7 +5,11 @@
 
 In order:
 
-  1. tier1: the whole test suite under one BLAS thread (gate);
+  1. tier1: the whole test suite (gate). It holds the guard against BLAS
+     in the fit: tests/test_cli.py::TestBlasThreads compares fit bits
+     between a child on the default OpenBLAS kernel with one thread and a
+     child on the Haswell kernel with two, so this script sets no BLAS
+     variable itself;
   2. tier1_no_avx512: the same with numpy's AVX-512 dispatch disabled,
      as on a CPU without AVX-512, where numpy's float64 exp and log may
      round differently (gate). The names to disable are read from the
@@ -13,22 +17,19 @@ In order:
      where each exists and is on), since numpy silently ignores a name it
      does not know; the gate fails if the child still reports any of them
      on;
-  3. block_scoring: the TestBlockScoring and TestBatchedRefinement tests
-     under two BLAS threads, since block scoring must equal one-shot
-     scoring bit for bit whatever the thread count (gate);
-  4. fit_digest: scripts/fit_digest.py under one and two BLAS threads, each
-     under the kernel OpenBLAS picks for this CPU and under its Haswell
-     kernel. With --base, REF's src/ is digested too, by this checkout's
-     script on this machine, and the two must be equal: a change must
-     leave every fit bit-identical (gate). fit_digest_kernels: the head's
-     four digests must be one value, since no fit may depend on the BLAS
-     kernel or thread count (gate);
-  5. cli_digest: scripts/cli_digest.py the same way. The head's script
+  3. fit_digest: scripts/fit_digest.py under each dispatch setting, the
+     default and no-AVX512 (the names of step 2), the step's line naming
+     the targets it disabled: none on a CPU whose numpy reports no
+     AVX-512 target, where both runs are the default. With --base, REF's
+     src/ is digested too, by this checkout's script on this machine,
+     and under each setting the two must be equal: a change must leave
+     every fit bit-identical on both SIMD paths (gate);
+  4. cli_digest: scripts/cli_digest.py the same way. The head's script
      must run (gate); whether its digest equals REF's is reported, since a
      change may move the CLI's bytes knowingly, and says so;
-  6. code_lines: scripts/count_code_lines.py totals. The head's count must
+  5. code_lines: scripts/count_code_lines.py totals. The head's count must
      run (gate); the totals are reported.
-  7. cli_memory: the peak RSS in MB and the wall seconds of `synth --m
+  6. cli_memory: the peak RSS in MB and the wall seconds of `synth --m
      977.73 --n 400000 --seed 1 --output FILE` in csv and in structured
      format, each run alone under a small launcher that reads its own
      RUSAGE_CHILDREN high-water mark, so the figure is that CLI process's
@@ -40,10 +41,9 @@ In order:
      figures, REF's too, are reported, not gated: one run each, so the
      seconds carry the host's noise.
 
-A kernel is chosen by setting OPENBLAS_CORETYPE in the child's environment
-only, which stands in for a CPU on which OpenBLAS picks that kernel, and
-numpy's dispatch is narrowed the same way with NPY_DISABLE_CPU_FEATURES;
-the default runs have both removed. REF's src/ is exported with
+numpy's dispatch is narrowed by setting NPY_DISABLE_CPU_FEATURES in the
+child's environment only, which stands in for a CPU without those
+targets; the default runs have it removed. REF's src/ is exported with
 `git archive` into a temporary directory, so the checkout and its git
 metadata are left as they were.
 
@@ -64,9 +64,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-THREADS = ("1", "2")
-# step-name suffix: the child's OpenBLAS core type
-KERNELS = {"": {}, "_haswell": {"OPENBLAS_CORETYPE": "Haswell"}}
 # the child's numpy prints the names of its AVX-512 dispatch targets, and
 # of X86_V4 (the level that groups them), that it reports on, as JSON
 AVX512 = """
@@ -93,17 +90,15 @@ print(round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1),
 """
 
 
-def python(args, threads="1", cpu=None):
-    """`python args` from the checkout's root with src/ on the path,
-    `threads` BLAS threads and the environment variables `cpu` that narrow
-    the OpenBLAS kernel or numpy's dispatch (None: what this CPU picks):
-    (exit code, output, seconds)."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, ("src", os.environ.get("PYTHONPATH")))))
-    for name in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"):
-        env.pop(name, None)
-    env.update(cpu or {})
+def python(args, disabled=()):
+    """`python args` from the checkout's root with src/ on the path and
+    numpy's dispatch targets `disabled` turned off: (exit code, output,
+    seconds)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, ("src", os.environ.get("PYTHONPATH")))))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = ",".join(disabled)
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True)
@@ -111,21 +106,21 @@ def python(args, threads="1", cpu=None):
             round(time.perf_counter() - start, 1))
 
 
-def pytest(args, threads, cpu=None):
+def pytest(args, disabled=()):
     code, out, seconds = python(
         ["-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "--continue-on-collection-errors", *args], threads, cpu)
+         "--continue-on-collection-errors", *args], disabled)
     lines = out.strip().splitlines()
     counts = {kind: int(n) for n, kind in re.findall(
         r"(\d+) (passed|failed|errors?|skipped|deselected)",
         lines[-1] if lines else "")}
     return {"ok": code == 0 and "passed" in counts, **counts,
-            "threads": int(threads), "seconds": seconds}
+            "seconds": seconds}
 
 
-def last_line(args, threads="1", cpu=None):
+def last_line(args, disabled=()):
     """The last output line of a script, or None if it failed."""
-    code, out, _ = python(args, threads, cpu)
+    code, out, _ = python(args, disabled)
     lines = out.strip().splitlines()
     return lines[-1] if code == 0 and lines else None
 
@@ -153,44 +148,33 @@ def main() -> int:
               + ", ".join(f"{k} {v}" for k, v in result.items() if k != "ok"),
               flush=True)
 
-    gate("tier1", pytest([], "1"))
+    gate("tier1", pytest([]))
     # a probe that fails disables nothing and leaves still_on null, which
     # fails the gate
     names = json.loads(last_line(["-c", AVX512]) or "[]")
-    no_avx512 = {"NPY_DISABLE_CPU_FEATURES": ",".join(names)}
-    tier1 = pytest([], "1", no_avx512)
-    still_on = json.loads(last_line(["-c", AVX512], "1", no_avx512) or "null")
+    tier1 = pytest([], names)
+    still_on = json.loads(last_line(["-c", AVX512], names) or "null")
     gate("tier1_no_avx512", {**tier1, "disabled": names,
                              "still_on": still_on,
                              "ok": tier1["ok"] and still_on == []})
-    gate("block_scoring", pytest(
-        ["tests/test_estimate.py", "-k",
-         "TestBlockScoring or TestBatchedRefinement"], "2"))
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"head": []}
         if args.base:
             trees["base"] = [export_src(args.base, tmp)]
         for script, must_match in (("fit_digest", True),
                                    ("cli_digest", False)):
-            heads = []
-            for suffix, cpu in KERNELS.items():
-                for threads in THREADS:
-                    digests = {tree: last_line(
-                        [f"scripts/{script}.py", *src], threads, cpu)
-                        for tree, src in trees.items()}
-                    heads.append(digests["head"])
-                    same = None not in digests.values() and len(
-                        set(digests.values())) == 1
-                    # the head's script must run; only fit_digest must match
-                    gate(f"{script}{suffix}_threads{threads}", {
-                        **digests, "same": same,
-                        "ok": same if must_match
-                        else digests["head"] is not None})
-            if must_match:
-                values = set(heads)
-                gate(f"{script}_kernels", {"head": sorted(map(str, values)),
-                                           "ok": None not in values
-                                           and len(values) == 1})
+            # step-name suffix: the dispatch targets disabled
+            for suffix, disabled in (("", []), ("_no_avx512", names)):
+                digests = {tree: last_line(
+                    [f"scripts/{script}.py", *src], disabled)
+                    for tree, src in trees.items()}
+                same = None not in digests.values() and len(
+                    set(digests.values())) == 1
+                # the head's script must run; only fit_digest must match
+                gate(f"{script}{suffix}", {
+                    **digests, "disabled": disabled, "same": same,
+                    "ok": same if must_match
+                    else digests["head"] is not None})
         totals = {tree: last_line(["scripts/count_code_lines.py", *src])
                   for tree, src in trees.items()}
         gate("code_lines", {**{tree: line and int(line.split()[0])

@@ -180,9 +180,6 @@ class DisplacementSeries:
     def __len__(self) -> int:
         return self.ratio.size
 
-    def ratios(self) -> np.ndarray:
-        return self.ratio
-
 
 def _as_text(source: TextSource) -> str:
     """The one decoding step for every input: UTF-8, BOM dropped, and

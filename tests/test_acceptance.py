@@ -126,7 +126,7 @@ def test_criterion_6_sampler_distribution():
     worst_overall = 0.0
     for m, seed in ((100.0, 1), (977.73, 2), (2500.0, 3)):
         sample = sample_displacements(SynthSpec(m=m, n=n, seed=seed))
-        abs_x = np.sort(np.abs(np.asarray(sample.ratios())))
+        abs_x = np.sort(np.abs(np.asarray(sample.ratio)))
         params = OscillatorParams(m=m)
         worst = 0.0
         for x in np.linspace(0.0, abs_x[-1], 50):

@@ -1,5 +1,6 @@
 """Command-line surface: pipelines, config layering, exit codes, echoes."""
 
+import contextlib
 import errno
 import io
 import json
@@ -246,25 +247,47 @@ class TestEstimatePipelines:
         assert renders[0] == renders[1]
 
 
+# criterion 5's N = 1000 fits at seeds 0-4: one line per fit, m and seed,
+# then the repr of m_hat, r2, the threshold table and the trace
+FIT_BITS = """
+from oscmarkets.estimate import fit_m_hat
+from oscmarkets.synth import SynthSpec, sample_displacements
+for m in (355.92, 977.73, 2513.76):
+    for seed in range(5):
+        fit = fit_m_hat(sample_displacements(SynthSpec(m, n=1000, seed=seed)))
+        print(m, seed, repr((float(fit.m_hat), float(fit.r2),
+                             fit.table.tolist(), fit.grid.tolist())))
+"""
+
+
 class TestBlasThreads:
-    """Grid output does not depend on the BLAS thread count."""
+    """No fit bit depends on the BLAS kernel or thread count, so none may
+    come from a BLAS routine: a child on the kernel OpenBLAS picks here,
+    with one thread, and a child on its Haswell kernel, with two, print the
+    same fits, and those equal the in-process fits. On a CPU where OpenBLAS
+    picks Haswell anyway, only the thread count differs."""
 
     @pytest.fixture(scope="class")
-    def sample(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("threads") / "s.csv"
-        assert main(["synth", "--m", "977.73", "--n", "1000", "--seed", "1",
-                     "--output", str(path)]) == 0
-        return str(path)
+    def outputs(self):
+        children = [run_process([], entry=("-c", FIT_BITS), **env) for env in (
+            {"OPENBLAS_NUM_THREADS": "1"},
+            {"OPENBLAS_NUM_THREADS": "2", "OPENBLAS_CORETYPE": "Haswell"})]
+        here = io.StringIO()
+        with contextlib.redirect_stdout(here):
+            exec(FIT_BITS, {})
+        return children, here.getvalue()
 
-    @pytest.mark.parametrize("points", [2000, 2001, 1003])
-    def test_grid_identical(self, capsys, sample, points):
-        argv = ["estimate", "--input", sample, "--grid", f"100:5000:{points}",
-                "--emit", "grid", "--format", "csv"]
-        outs = [run_process(argv, OPENBLAS_NUM_THREADS=str(threads))
-                for threads in (1, 2)]
-        assert outs[0][0] == 0, outs[0][2]
-        assert outs[0] == outs[1]
-        assert run(capsys, *argv) == outs[0]
+    @pytest.mark.parametrize("m", ["355.92", "977.73", "2513.76"])
+    def test_fit_bits_identical(self, outputs, m):
+        children, here = outputs
+        for code, _, err in children:
+            assert code == 0, err
+        fits = [[line for line in out.splitlines() if line.startswith(m + " ")]
+                for out in (children[0][1], children[1][1], here)]
+        assert [len(lines) for lines in fits] == [5, 5, 5]
+        # the seeds whose fit differs in any bit between the three runs
+        assert [seed for seed, *lines in zip(range(5), *fits)
+                if len(set(lines)) > 1] == []
 
 
 class TestGridEdgeWarning:

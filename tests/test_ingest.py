@@ -179,16 +179,16 @@ class TestToDisplacements:
     def test_direct_arithmetic(self):
         s = parse_prices(weekly_csv([100.0, 110.0, 99.0]))
         d = to_displacements(s)
-        assert d.ratios() == pytest.approx([0.10, -0.10], rel=1e-12)
+        assert d.ratio == pytest.approx([0.10, -0.10], rel=1e-12)
         assert len(d) == len(s) - 1
 
     def test_constant_series(self):
         d = to_displacements(parse_prices(weekly_csv([50.0, 50.0, 50.0])))
-        assert d.ratios().tolist() == [0.0, 0.0]
+        assert d.ratio.tolist() == [0.0, 0.0]
 
     def test_crash_week_ratio(self):
         d = to_displacements(parse_prices(weekly_csv([1099.23, 899.22])))
-        assert d.ratios()[0] == pytest.approx(-0.1819546409759559, rel=1e-14)
+        assert d.ratio[0] == pytest.approx(-0.1819546409759559, rel=1e-14)
 
     def test_dated_by_later_week(self):
         s = parse_prices(weekly_csv([100.0, 110.0], start="2001-01-05"))
@@ -315,7 +315,7 @@ class TestRoundTrips:
         closes = [100.0, 104.25, 96.8, 121.77, 118.0, 119.5]
         d = to_displacements(parse_prices(weekly_csv(closes)))
         rebuilt = [closes[0]]
-        for r in d.ratios():
+        for r in d.ratio:
             rebuilt.append(rebuilt[-1] * (1.0 + r))
         for got, want in zip(rebuilt, closes):
             assert abs(got - want) <= 1e-10 * want

@@ -44,7 +44,7 @@ class TestDeterminism:
     def test_seeds_differ(self):
         a = sample_displacements(SynthSpec(m=977.73, n=500, seed=42))
         b = sample_displacements(SynthSpec(m=977.73, n=500, seed=43))
-        assert a.ratios().tolist() != b.ratios().tolist()
+        assert a.ratio.tolist() != b.ratio.tolist()
 
     def test_documented_algorithm(self):
         # the contract: Philox(seed); magnitude stream first, then signs;
@@ -55,7 +55,7 @@ class TestDeterminism:
         mags = math.sqrt(2.0 * 2.0 / 500.0) * erfc_inv(np.sqrt(u))
         signs = np.where(rng.random(64) < 0.5, -1.0, 1.0)
         expected = (signs * mags).tolist()
-        assert sample_displacements(spec).ratios().tolist() == expected
+        assert sample_displacements(spec).ratio.tolist() == expected
 
 
 class TestSeriesShape:
@@ -98,7 +98,7 @@ class TestDistribution:
     def test_ks_style_statistic(self, m, seed):
         n = 100_000
         s = sample_displacements(SynthSpec(m=m, n=n, seed=seed))
-        abs_x = np.sort(np.abs(np.asarray(s.ratios())))
+        abs_x = np.sort(np.abs(np.asarray(s.ratio)))
         params = OscillatorParams(m=m)
         thresholds = np.linspace(0.0, abs_x[-1], 50)
         worst = 0.0
@@ -109,11 +109,11 @@ class TestDistribution:
 
     def test_sign_symmetry(self):
         s = sample_displacements(SynthSpec(m=977.73, n=100_000, seed=7))
-        ratios = np.asarray(s.ratios())
+        ratios = np.asarray(s.ratio)
         positive = float((ratios > 0).mean())
         assert 0.48 <= positive <= 0.52
 
     def test_magnitudes_shrink_with_m(self):
         small = sample_displacements(SynthSpec(m=100.0, n=5000, seed=11))
         large = sample_displacements(SynthSpec(m=2500.0, n=5000, seed=11))
-        assert np.abs(small.ratios()).mean() > np.abs(large.ratios()).mean()
+        assert np.abs(small.ratio).mean() > np.abs(large.ratio).mean()
