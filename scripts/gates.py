@@ -17,19 +17,19 @@ In order:
      where each exists and is on), since numpy silently ignores a name it
      does not know; the gate fails if the child still reports any of them
      on;
-  3. fit_digest: scripts/fit_digest.py under each dispatch setting, the
-     default and no-AVX512 (the names of step 2), the step's line naming
-     the targets it disabled: none on a CPU whose numpy reports no
-     AVX-512 target, where both runs are the default. With --base, REF's
-     src/ is digested too, by this checkout's script on this machine,
-     and under each setting the two must be equal: a change must leave
-     every fit bit-identical on both SIMD paths (gate);
-  4. cli_digest: scripts/cli_digest.py the same way. The head's script
-     must run (gate); whether its digest equals REF's is reported, since a
+  3. fit_digest and cli_digest: scripts/digest.py under each dispatch
+     setting, the default and no-AVX512 (the names of step 2), one child
+     per tree and setting, each step's line naming the targets it
+     disabled: none on a CPU whose numpy reports no AVX-512 target, where
+     both runs are the default. With --base, REF's src/ is digested too,
+     by this checkout's script on this machine. Under each setting the
+     two fit digests must be equal: a change must leave every fit
+     bit-identical on both SIMD paths (gate). The head's CLI digest must
+     be computed (gate); whether it equals REF's is reported, since a
      change may move the CLI's bytes knowingly, and says so;
-  5. code_lines: scripts/count_code_lines.py totals. The head's count must
+  4. code_lines: scripts/count_code_lines.py totals. The head's count must
      run (gate); the totals are reported.
-  6. cli_memory: the peak RSS in MB and the wall seconds of `synth --m
+  5. cli_memory: the peak RSS in MB and the wall seconds of `synth --m
      977.73 --n 400000 --seed 1 --output FILE` in csv and in structured
      format, each run alone under a small launcher that reads its own
      RUSAGE_CHILDREN high-water mark, so the figure is that CLI process's
@@ -49,7 +49,9 @@ metadata are left as they were.
 
 Each gate prints one line, then one JSON line sums them all up: each
 gate's result, the digests, the code-line totals, the tier-1 counts and
-the seconds each step took. The exit status is 1 when any gate fails.
+the wall seconds each step took, counted from the end of the step before:
+a cli_digest step reads the children its fit_digest step ran, so it shows
+about none. The exit status is 1 when any gate fails.
 """
 
 import argparse
@@ -92,35 +94,31 @@ print(round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1),
 
 def python(args, disabled=()):
     """`python args` from the checkout's root with src/ on the path and
-    numpy's dispatch targets `disabled` turned off: (exit code, output,
-    seconds)."""
+    numpy's dispatch targets `disabled` turned off: (exit code, output)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, ("src", os.environ.get("PYTHONPATH")))))
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
     if disabled:
         env["NPY_DISABLE_CPU_FEATURES"] = ",".join(disabled)
-    start = time.perf_counter()
     proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True)
-    return (proc.returncode, proc.stdout + proc.stderr,
-            round(time.perf_counter() - start, 1))
+    return proc.returncode, proc.stdout + proc.stderr
 
 
 def pytest(args, disabled=()):
-    code, out, seconds = python(
+    code, out = python(
         ["-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors", *args], disabled)
     lines = out.strip().splitlines()
     counts = {kind: int(n) for n, kind in re.findall(
         r"(\d+) (passed|failed|errors?|skipped|deselected)",
         lines[-1] if lines else "")}
-    return {"ok": code == 0 and "passed" in counts, **counts,
-            "seconds": seconds}
+    return {"ok": code == 0 and "passed" in counts, **counts}
 
 
 def last_line(args, disabled=()):
     """The last output line of a script, or None if it failed."""
-    code, out, _ = python(args, disabled)
+    code, out = python(args, disabled)
     lines = out.strip().splitlines()
     return lines[-1] if code == 0 and lines else None
 
@@ -138,12 +136,15 @@ def main() -> int:
     parser.add_argument("--base", metavar="REF",
                         help="commit to compare the digests and counts with")
     args = parser.parse_args()
-    start = time.perf_counter()
+    start = end = time.perf_counter()
     report = {"base": args.base}
 
     def gate(name, result):
-        """Record and print one step."""
-        report[name] = result
+        """Record and print one step, timed from the end of the last."""
+        nonlocal end
+        now = time.perf_counter()
+        report[name] = result = {**result, "seconds": round(now - end, 1)}
+        end = now
         print(f"{'PASS' if result['ok'] else 'FAIL'} {name}: "
               + ", ".join(f"{k} {v}" for k, v in result.items() if k != "ok"),
               flush=True)
@@ -161,17 +162,17 @@ def main() -> int:
         trees = {"head": []}
         if args.base:
             trees["base"] = [export_src(args.base, tmp)]
-        for script, must_match in (("fit_digest", True),
-                                   ("cli_digest", False)):
-            # step-name suffix: the dispatch targets disabled
-            for suffix, disabled in (("", []), ("_no_avx512", names)):
-                digests = {tree: last_line(
-                    [f"scripts/{script}.py", *src], disabled)
-                    for tree, src in trees.items()}
+        # step-name suffix: the dispatch targets disabled
+        for suffix, disabled in (("", []), ("_no_avx512", names)):
+            lines = {tree: last_line(["scripts/digest.py", *src], disabled)
+                     for tree, src in trees.items()}
+            for key, must_match in (("fit", True), ("cli", False)):
+                digests = {tree: line and json.loads(line)[key]
+                           for tree, line in lines.items()}
                 same = None not in digests.values() and len(
                     set(digests.values())) == 1
-                # the head's script must run; only fit_digest must match
-                gate(f"{script}{suffix}", {
+                # the head's digest must run; only the fit's must match
+                gate(f"{key}_digest{suffix}", {
                     **digests, "disabled": disabled, "same": same,
                     "ok": same if must_match
                     else digests["head"] is not None})

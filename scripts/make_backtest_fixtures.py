@@ -2,13 +2,19 @@
 
 Training window: 100 ladder displacements at m0 = 900 whose empirical
 survival matches the tail law exactly, chained into closes from 100.0.
-The crash close two years later is sized off the FITTED coefficient so
-the predicted/actual points ratio is exact by construction:
+The crash close two years later is sized off the FITTED coefficient:
 
   quiet fixture:  |crash move| = 0.64 * R(m_hat) * prior  -> ratio 1.5625
   crash fixture:  |crash move| = 1.10 * R(m_hat) * prior  -> violated
 
-Rerunning overwrites tests/data/backtest_quiet.csv and backtest_crash.csv.
+The committed fixtures are frozen inputs, made with an earlier fit. The
+current fit resolves m_hat only to within its noise band, so against it
+the quiet ratio holds 1.5625 to within that band, as
+tests/test_backtest.py::test_quiet_fixture_not_violated checks, not
+exactly. Do not rerun this to refresh them: it overwrites
+tests/data/backtest_quiet.csv and backtest_crash.csv with a different
+crash row (the quiet close 77.21673672170098 becomes 77.21673670823651),
+which moves the CLI digest of scripts/digest.py.
 """
 
 import datetime as dt

@@ -145,7 +145,7 @@ _SB = (
 
 _TWO_OVER_SQRT_PI = 1.12837916709551257390
 _SQRT_PI_OVER_2 = 0.886226925452758013649
-_SERIES_Q = 2.0 ** -20  # below 1.85e-5, the smallest q of fit_digest's draws
+_SERIES_Q = 2.0 ** -20  # below 1.85e-5, the least q in digest.py's fit draws
 
 
 def _workspace(size: int) -> tuple:

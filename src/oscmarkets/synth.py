@@ -6,9 +6,13 @@ Inverse-transform sampling: with u uniform on (0, 1],
 
 which makes Pr(|x| >= X) = erfc(X sqrt(m/(2t)))^2 by construction; the
 sign is a separate fair coin. The uniform source is numpy's Philox
-counter-based generator seeded from SynthSpec.seed, so sequences are
-reproducible across platforms and parallel generation can partition the
-index space by seed (never by sharing generator state).
+counter-based generator seeded from SynthSpec.seed, so the uniforms and
+the signs are the same on every platform, and parallel generation can
+partition the index space by seed (never by sharing generator state). The
+magnitudes are not: erfc_inv goes through numpy's float64 log and exp,
+whose SIMD paths round differently with and without AVX-512, so a few
+draws in ten thousand differ in the last bits between CPUs (ROADMAP item
+14).
 
 Weeks carry fabricated endpoints x_A = 100, x_B = 100 (1 + x) and
 consecutive fabricated Friday week-end dates; the series is synthetic
