@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError, DomainError, positive
+from .errors import DataError, DomainError, at_least, positive
 from .estimate import EstimationResult, GridSpec, fit_m_hat
 from .ingest import PriceSeries, to_displacements, window
 from .model import OscillatorParams, extreme_displacement
@@ -43,14 +43,8 @@ class BacktestConfig:
             raise DataError(
                 f"crash_week_end must be a date, got {self.crash_week_end!r}"
             )
-        if self.train_start_index < 0:
-            raise DataError(
-                f"train_start_index must be >= 0, got {self.train_start_index}"
-            )
-        if self.train_count < 1:
-            raise DataError(
-                f"train_count must be >= 1, got {self.train_count}"
-            )
+        at_least("train_start_index", self.train_start_index, 0)
+        at_least("train_count", self.train_count, 1)
         positive("t", self.t)
 
 

@@ -10,6 +10,11 @@ so identical invocations over identical files are byte-identical.
 The config file is read and checked before the flags are parsed, and its
 values become each subcommand's defaults: argparse alone applies the
 precedence, and config-file errors come before flag errors and `--help`.
+A flag's or config key's type only converts its text (a float, an int,
+START:COUNT, LO:HI:N, a date) and hands the value to the rule the library
+types apply to it (errors.positive, errors.at_least, errors.uint64,
+GridSpec), so a flag's range is the library's own and a value out of it
+is reported in the rule's words.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data/validation
 error, 3 numeric/domain failure.
@@ -34,7 +39,6 @@ import argparse
 import contextlib
 import datetime as dt
 import gc
-import math
 import os
 import stat
 import sys
@@ -44,7 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DomainError, OscMarketsError
+from .errors import (DataError, DomainError, OscMarketsError, at_least,
+                     positive, uint64)
 from .ingest import (
     _as_text,
     _iso_date,
@@ -77,9 +82,10 @@ def _check(ok: bool, message: str) -> None:
         raise argparse.ArgumentTypeError(message)
 
 
-def _parsed(convert, text: str, message: str):
-    """convert(text), or a flag error: `message` formatted with the flag's
-    `text` and the ValueError or DataError `exc` that convert raised."""
+def _parsed(convert, text, message: str = "{exc}"):
+    """convert(text), or a flag error: `message` (by default the error's
+    own words) formatted with `text` and the ValueError or DataError `exc`
+    that convert raised."""
     try:
         return convert(text)
     except (ValueError, DataError) as exc:
@@ -87,27 +93,17 @@ def _parsed(convert, text: str, message: str):
             message.format(text=text, exc=exc)) from None
 
 
-def _positive_float(text: str) -> float:
-    value = _parsed(float, text, "not a number: {text!r}")
-    _check(math.isfinite(value) and value > 0.0,
-           f"must be finite and > 0: {text}")
-    return value
+# what a flag error says when the flag's text is not of its type
+_NOT_A = {float: "not a number: {text!r}", int: "not an integer: {text!r}"}
 
 
-def _integer(text: str) -> int:
-    return _parsed(int, text, "not an integer: {text!r}")
-
-
-def _seed_value(text: str) -> int:
-    value = _integer(text)
-    _check(0 <= value < 2 ** 64, "seed must fit in 64 unsigned bits")
-    return value
-
-
-def _count_value(text: str) -> int:
-    value = _integer(text)
-    _check(value >= 1, f"must be >= 1, got {value}")
-    return value
+def _typed(convert, rule, *args, **kwargs):
+    """A flag's type: its text as convert (float or int) reads it, then
+    checked by rule(*args, value, **kwargs), one of the errors module's
+    rules. A text that does not convert is a flag error from _NOT_A; a
+    value the rule rejects, one in the rule's own words."""
+    return lambda text: _parsed(partial(rule, *args, **kwargs),
+                                _parsed(convert, text, _NOT_A[convert]))
 
 
 def _window_value(text: str) -> tuple[int, int]:
@@ -115,9 +111,8 @@ def _window_value(text: str) -> tuple[int, int]:
     _check(len(parts) == 2, f"window must be START:COUNT, got {text!r}")
     start, count = _parsed(lambda _: [int(p) for p in parts], text,
                            "window must be START:COUNT integers, got {text!r}")
-    _check(start >= 0 and count >= 1,
-           f"window needs START >= 0 and COUNT >= 1, got {text!r}")
-    return start, count
+    return _parsed(lambda _: (at_least("window START", start, 0),
+                              at_least("window COUNT", count, 1)), text)
 
 
 def _grid_value(text: str):
@@ -147,9 +142,9 @@ _FLAGS = {
     "input": dict(help="input CSV path, or - for stdin"),
     "output": dict(default="-", help="output path (default: stdout)"),
     "format": dict(choices=("text", "csv", "structured"), default="text"),
-    "m": dict(type=_positive_float, required=True),
-    "m_hat": dict(type=_positive_float),
-    "t": dict(type=_positive_float, default=1.0),
+    "m": dict(type=_typed(float, positive, "m"), required=True),
+    "m_hat": dict(type=_typed(float, positive, "m_hat")),
+    "t": dict(type=_typed(float, positive, "t"), default=1.0),
     "window": dict(type=_window_value, metavar="START:COUNT",
                    help="weeks fitted (default: all; backtest 0:100)"),
     "grid": dict(type=_grid_value, metavar="LO:HI:N"),
@@ -160,9 +155,9 @@ _FLAGS = {
                  help="csv/structured payload (default: displacements)"),
              "estimate": dict(choices=("table", "grid"), default="table",
                               help="csv payload (default: threshold table)")},
-    "n": dict(type=_count_value, default=100),
-    "seed": dict(type=_seed_value, default=0),
-    "prior_close": dict(type=_positive_float),
+    "n": dict(type=_typed(int, at_least, "sample count", low=1), default=100),
+    "seed": dict(type=_typed(int, uint64, "seed"), default=0),
+    "prior_close": dict(type=_typed(float, positive, "prior_close")),
     "stdin": dict(action="store_true",
                   help="read displacements or prices from stdin"),
 }
@@ -170,9 +165,9 @@ _FLAGS = {
 # each config key and the type function of the flag it stands in for;
 # train_count, backtest's window length when --window is not given, has
 # no flag
-_CONFIG_TYPES = {"train_count": _count_value, **{
-    key: _FLAGS[key]["type"]
-    for key in ("t", "grid", "seed", "crash_week", "prior_close", "m_hat")}}
+_CONFIG_TYPES = {"train_count": _typed(int, at_least, "train_count", low=1),
+                 **{key: _FLAGS[key]["type"] for key in ("t", "grid", "seed",
+                    "crash_week", "prior_close", "m_hat")}}
 
 
 def _load_config_file() -> dict:

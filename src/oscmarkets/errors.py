@@ -1,4 +1,5 @@
-"""Semantic exception hierarchy shared by every module in the package."""
+"""Semantic exception hierarchy shared by every module in the package,
+and the value rules that raise it: each is spelled here once."""
 
 import math
 
@@ -28,4 +29,18 @@ def positive(name: str, value) -> float:
     value = float(value)
     if not (math.isfinite(value) and value > 0.0):
         raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
+def at_least(name: str, value: int, low: int) -> int:
+    """`value`; DataError unless it is >= `low`."""
+    if value < low:
+        raise DataError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def uint64(name: str, value: int) -> int:
+    """`value`; DataError unless it fits in 64 unsigned bits."""
+    if not 0 <= value < 2 ** 64:
+        raise DataError(f"{name} must be a 64-bit unsigned int, got {value}")
     return value

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError, positive
+from .errors import DataError, DomainError, at_least, positive, uint64
 from .ingest import DisplacementSeries
 from .specfun import erfc_inv
 
@@ -50,10 +50,10 @@ class SynthSpec:
     def __post_init__(self):
         positive("m", self.m)
         positive("t", self.t)
-        if self.n < 1:
-            raise DataError(f"sample count must be >= 1, got {self.n}")
-        if not 0 <= self.seed < 2 ** 64:
-            raise DataError(f"seed must be a 64-bit unsigned int, got {self.seed}")
+        if at_least("sample count", self.n, 1) > _MAX_N:
+            raise DataError(f"sample count {self.n} exceeds the fabricated "
+                            f"calendar ({_MAX_N} weeks)")
+        uint64("seed", self.seed)
 
 
 def sample_displacements(spec: SynthSpec) -> DisplacementSeries:
@@ -62,11 +62,6 @@ def sample_displacements(spec: SynthSpec) -> DisplacementSeries:
     Deterministic for a fixed seed; the magnitude stream and the sign
     stream are drawn in that order from a single Philox generator.
     """
-    if spec.n > _MAX_N:
-        raise DataError(
-            f"sample count {spec.n} exceeds the fabricated calendar "
-            f"({_MAX_N} weeks)"
-        )
     rng = np.random.Generator(np.random.Philox(spec.seed))
     u = 1.0 - rng.random(spec.n)  # uniform on (0, 1]: keeps sqrt in domain
     mags = math.sqrt(2.0 * spec.t / spec.m) * erfc_inv(np.sqrt(u))

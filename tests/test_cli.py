@@ -1,6 +1,7 @@
 """Command-line surface: pipelines, config layering, exit codes, echoes."""
 
 import contextlib
+import datetime as dt
 import errno
 import io
 import json
@@ -19,7 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oscmarkets
-from oscmarkets.cli import CONFIG_ENV, _TEXT_LABEL, main
+from oscmarkets.backtest import BacktestConfig
+from oscmarkets.cli import (
+    CONFIG_ENV,
+    _TEXT_LABEL,
+    UsageError,
+    _load_config_file,
+    build_parser,
+    main,
+)
+from oscmarkets.errors import DataError, DomainError, positive
+from oscmarkets.synth import SynthSpec
 
 DATA = Path(__file__).parent / "data"
 QUIET = DATA / "backtest_quiet.csv"
@@ -401,21 +412,23 @@ class TestIngest:
                        "got 1\n")
 
 
+class Sink:
+    """A stdout that keeps only the count of the characters written."""
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+    def flush(self):
+        pass
+
+
 class TestStreamedOutput:
     """Output goes straight to its destination as it is made, and only
     once the command has its whole result."""
 
     def test_structured_peak_tracks_output(self, monkeypatch):
         # the whole output never sits in memory, nor a copy of it
-        class Sink:
-            chars = 0
-
-            def write(self, text):
-                self.chars += len(text)
-
-            def flush(self):
-                pass
-
         sink = Sink()
         monkeypatch.setattr("sys.stdout", sink)
         tracemalloc.start()
@@ -431,15 +444,6 @@ class TestStreamedOutput:
     def test_structured_peak_below_output_in_small_blocks(self, monkeypatch):
         # in blocks of 64 rows, only the series and the sampler's working
         # arrays outweigh a block: the document is never built as objects
-        class Sink:
-            chars = 0
-
-            def write(self, text):
-                self.chars += len(text)
-
-            def flush(self):
-                pass
-
         monkeypatch.setattr("oscmarkets.ingest._ROWS", 64)
         argv = ["synth", "--m", "977.73", "--format", "structured"]
         # a first run, so that one-time allocations (caches filled on first
@@ -726,8 +730,8 @@ class TestConfigFile:
         assert code == 1
         assert "key=value" in err
 
-    @pytest.mark.parametrize("value, message", [("abc", "not an integer"),
-                                                ("0", "must be >= 1")])
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "not an integer"), ("0", "train_count must be >= 1")])
     def test_bad_train_count(self, capsys, tmp_path, monkeypatch, value,
                              message):
         cfg = tmp_path / "osc.cfg"
@@ -757,8 +761,8 @@ class TestConfigFile:
         monkeypatch.setenv(CONFIG_ENV, str(cfg))
         code, out, err = run(capsys, "synth", "--m", "977.73", *flags)
         assert (code, out) == (1, "")
-        assert err == ("usage error: config key seed: seed must fit in 64 "
-                       "unsigned bits\n")
+        assert err == ("usage error: config key seed: seed must be a 64-bit "
+                       "unsigned int, got -3\n")
 
     def test_file_supplies_every_default(self, capsys, tmp_path,
                                          monkeypatch):
@@ -874,7 +878,9 @@ class TestExitCodes:
          "backtest needs --input PATH"),
         # the missing week is reported before the input is read
         (["backtest", "--input", "no-such.csv"],
-         "backtest needs --crash-week (flag or config file)")])
+         "backtest needs --crash-week (flag or config file)"),
+        (["predict", "--prior-close", "100"],
+         "predict needs --m-hat (flag or config file)")])
     def test_usage_no_input(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", f"usage error: {message}\n")
@@ -884,12 +890,22 @@ class TestExitCodes:
                    "--t", "-1")[0] == 1
 
     @pytest.mark.parametrize("n, message", [
-        ("0", "must be >= 1, got 0"), ("-5", "must be >= 1, got -5"),
+        ("0", "sample count must be >= 1, got 0"),
+        ("-5", "sample count must be >= 1, got -5"),
         ("abc", "not an integer: 'abc'")])
     def test_usage_bad_synth_count(self, capsys, n, message):
         code, out, err = run(capsys, "synth", "--m", "977.73", "--n", n)
         assert (code, out) == (1, "")
         assert err == f"usage error: argument --n: {message}\n"
+
+    def test_synth_count_past_calendar(self, capsys):
+        # a count >= 1 is a valid flag; SynthSpec refuses more weeks than
+        # its fabricated Friday dates reach, as data
+        code, out, err = run(capsys, "synth", "--m", "977.73",
+                             "--n", str(10 ** 23))
+        assert (code, out) == (2, "")
+        assert err == (f"data error: sample count {10 ** 23} exceeds the "
+                       "fabricated calendar (417420 weeks)\n")
 
     @pytest.mark.parametrize("grid, message", [
         ("100:inf:50", "grid bounds must satisfy 0 < lo < hi < inf"),
@@ -931,10 +947,8 @@ class TestExitCodes:
          "window must be START:COUNT integers, got 'a:5'"),
         ("estimate", "window", "1.5:5",
          "window must be START:COUNT integers, got '1.5:5'"),
-        ("estimate", "window", "-1:5",
-         "window needs START >= 0 and COUNT >= 1, got '-1:5'"),
-        ("estimate", "window", "0:0",
-         "window needs START >= 0 and COUNT >= 1, got '0:0'"),
+        ("estimate", "window", "-1:5", "window START must be >= 0, got -1"),
+        ("estimate", "window", "0:0", "window COUNT must be >= 1, got 0"),
         ("estimate", "grid", "1:2", "grid must be LO:HI:N, got '1:2'"),
         ("estimate", "grid", "a:2:3",
          "bad grid 'a:2:3': could not convert string to float: 'a'"),
@@ -945,16 +959,17 @@ class TestExitCodes:
          "got [5.0, 2.0]"),
         ("backtest", "crash-week", "2004/01/02",
          "dates are YYYY-MM-DD, got '2004/01/02'"),
-        ("synth", "seed", "-1", "seed must fit in 64 unsigned bits"),
-        ("synth", "seed", str(2 ** 64), "seed must fit in 64 unsigned bits"),
+        ("synth", "seed", "-1", "seed must be a 64-bit unsigned int, got -1"),
+        ("synth", "seed", str(2 ** 64),
+         f"seed must be a 64-bit unsigned int, got {2 ** 64}"),
         ("synth", "seed", "abc", "not an integer: 'abc'"),
-        ("synth", "n", "0", "must be >= 1, got 0"),
+        ("synth", "n", "0", "sample count must be >= 1, got 0"),
         ("synth", "n", "x", "not an integer: 'x'"),
         ("estimate", "t", "abc", "not a number: 'abc'"),
-        ("estimate", "t", "-1", "must be finite and > 0: -1"),
-        ("estimate", "t", "0", "must be finite and > 0: 0"),
-        ("estimate", "t", "inf", "must be finite and > 0: inf"),
-        ("estimate", "t", "nan", "must be finite and > 0: nan")])
+        ("estimate", "t", "-1", "t must be finite and > 0, got -1.0"),
+        ("estimate", "t", "0", "t must be finite and > 0, got 0.0"),
+        ("estimate", "t", "inf", "t must be finite and > 0, got inf"),
+        ("estimate", "t", "nan", "t must be finite and > 0, got nan")])
     def test_usage_converter_message(self, capsys, command, flag, value,
                                      message):
         code, out, err = run(capsys, command, f"--{flag}={value}")
@@ -1241,6 +1256,51 @@ class TestExtremeFlagValues:
         fmt = data.draw(st.sampled_from(("text", "csv", "structured")))
         code, out, err = run_strict(argv + ["--format", fmt])
         assert_documented(code, out, err, fmt)
+
+
+class TestSharedRules:
+    """Each range-checked flag and config key accepts a value exactly when
+    the library check behind it does, so that neither side's bound can
+    move alone."""
+
+    @staticmethod
+    def accepts(make, *args, **kwargs) -> bool:
+        try:
+            make(*args, **kwargs)
+        except (UsageError, DataError, DomainError):
+            return False
+        return True
+
+    @classmethod
+    def parses(cls, *argv) -> bool:
+        return cls.accepts(build_parser({}).parse_args, list(argv))
+
+    @pytest.fixture(scope="class")
+    def config(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("rules") / "osc.cfg"
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(n=st.integers(-2, 2), start=st.integers(-2, 2),
+           count=st.integers(-2, 2),
+           seed=st.integers(-2, 2) | st.integers(2 ** 64 - 2, 2 ** 64 + 1),
+           t=st.floats() | st.sampled_from((0.0, -0.0, 5e-324, -5e-324)))
+    def test_flag_accepts_what_library_accepts(self, config, n, start, count,
+                                               seed, t):
+        week = dt.date(2004, 12, 6)
+        assert self.parses("synth", "--m", "1", f"--n={n}") == self.accepts(
+            SynthSpec, m=1.0, n=n)
+        assert self.parses("synth", "--m", "1", f"--seed={seed}") == (
+            self.accepts(SynthSpec, m=1.0, seed=seed))
+        assert self.parses("estimate", f"--window={start}:{count}") == (
+            self.accepts(BacktestConfig, week, start, count))
+        assert self.parses("estimate", f"--t={t!r}") == self.accepts(
+            positive, "t", t)
+        config.write_text(f"train_count = {count}\n")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(CONFIG_ENV, str(config))
+            assert self.accepts(_load_config_file) == self.accepts(
+                BacktestConfig, week, 0, count)
 
 
 class TestOneSpellingPerField:

@@ -1,5 +1,6 @@
 """Estimator: frequencies, per-week inversion, r^2, and the grid fit."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -669,6 +670,9 @@ class TestResultSurface:
             result_with_table([0.01], [0.5], [0.5], r2=0.5)
         with pytest.raises(DomainError, match="sorted"):
             result_with_table([0.02, 0.01], [0.5, 0.4], [0.5, 0.4])
+        with pytest.raises(DomainError, match="m_hat must be > 0, got 0.0"):
+            dataclasses.replace(result_with_table([0.01], [0.5], [0.5]),
+                                m_hat=0.0)
 
     def test_threshold_row_validation(self):
         # an out-of-range rho or pr sits in the last row, after a valid one

@@ -102,6 +102,11 @@ class TestActionAndStiffness:
         assert action_from_phase(math.pi / 6) == pytest.approx(PI_SQ,
                                                                rel=1e-14)
 
+    @pytest.mark.parametrize("phi", [math.pi / 2 + 1e-9, -2.0])
+    def test_phase_outside_quarter_turn_rejected(self, phi):
+        with pytest.raises(DomainError, match="outside"):
+            action_from_phase(phi)
+
     def test_action_consistency_identity(self):
         # with R the unit-time extreme, S(R sin phi) = (2 pi sin phi)^2
         for m in (355.92, 977.73, 2513.76):

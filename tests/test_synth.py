@@ -27,7 +27,8 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("kw", [dict(m=1.0, n=0),
                                     dict(m=1.0, seed=-1),
-                                    dict(m=1.0, seed=2 ** 64)])
+                                    dict(m=1.0, seed=2 ** 64),
+                                    dict(m=1.0, n=417421)])
     def test_bad_counts(self, kw):
         with pytest.raises(DataError):
             SynthSpec(**kw)
